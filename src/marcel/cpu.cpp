@@ -48,6 +48,7 @@ void Cpu::enqueue(Thread& t, bool front) {
   PM2_ASSERT(t.state_ != ThreadState::kFinished);
   PM2_ASSERT_MSG(!t.rq_hook.is_linked(), "thread already on a runqueue");
   const bool was_halted = !busy() && !dispatch_pending_;
+  resume_tick();
   t.state_ = ThreadState::kReady;
   t.last_cpu_ = this;
   auto& q = rq_[static_cast<unsigned>(t.prio_)];
@@ -62,6 +63,7 @@ void Cpu::enqueue(Thread& t, bool front) {
     // arrival cuts the current poll-gap short.
     request_resched(t.prio_ == Priority::kRealtime);
   }
+  spin_wake();
   kick(was_halted ? cfg_.wakeup_cost : 0);
   // Surplus work (the core is occupied or more than one thread queued):
   // nudge an idle sibling so it can steal.
@@ -70,9 +72,11 @@ void Cpu::enqueue(Thread& t, bool front) {
 
 void Cpu::tasklet_enqueue(Tasklet& t) {
   const bool was_halted = !busy() && !dispatch_pending_;
+  resume_tick();
   tasklets_.push_back(t);
   note_new_work();
   if (occ_ == Occupant::kService) need_resched_ = true;
+  spin_wake();
   kick(was_halted ? cfg_.wakeup_cost : 0);
 }
 
@@ -101,6 +105,16 @@ void Cpu::kick(SimDuration delay) {
 
 void Cpu::request_resched(bool hard) {
   need_resched_ = true;
+  if (spin_parked_) {
+    if (!hard) {
+      spin_wake();
+      return;
+    }
+    // Cut the parked spin short, exactly as below for a compute chunk.
+    if (resume_event_ != sim::kInvalidEventId) engine_.cancel(resume_event_);
+    resume_event_ = engine_.schedule_now([this] { run_occupant(); });
+    return;
+  }
   if (hard && busy() && resume_event_ != sim::kInvalidEventId) {
     // Cut the in-flight compute chunk short: resume the occupant now so it
     // reaches its preemption point immediately.
@@ -208,6 +222,8 @@ void Cpu::begin_run(Occupant what, Thread* t) {
 void Cpu::run_occupant() {
   PM2_ASSERT(occ_ != Occupant::kNone);
   resume_event_ = sim::kInvalidEventId;
+  // Whatever this fiber does may be what a sibling's spinner polls for.
+  if (node_.spinners_ != 0) node_.wake_spinners(this);
   sim::Fiber& f =
       occ_ == Occupant::kThread ? cur_thread_->fiber_ : service_fiber_;
   Cpu* prev_cpu = t_cpu;
@@ -307,18 +323,43 @@ void Cpu::arm_tick() {
   if (sim::ScheduleFuzzer* fz = engine_.fuzzer()) {
     period = fz->perturb_tick(period);  // fuzz the tick phase
   }
-  tick_event_ = engine_.schedule_after(period, [this] {
+  schedule_tick(engine_.now() + period);
+}
+
+void Cpu::schedule_tick(SimTime when) {
+  tick_event_ = engine_.schedule_at(when, [this] {
     tick_event_ = sim::kInvalidEventId;
     on_tick();
   });
 }
 
+void Cpu::resume_tick() {
+  if (!tick_lapsed_) return;
+  tick_lapsed_ = false;
+  // The ticks skipped meanwhile would have found nothing to do; one that
+  // falls on this very instant is taken to have run already.
+  const SimDuration period = cfg_.timer_tick;
+  const SimTime now = engine_.now();
+  schedule_tick(tick_phase_ + ((now - tick_phase_) / period + 1) * period);
+}
+
 void Cpu::on_tick() {
   if (occ_ == Occupant::kNone) return;  // halted: stop ticking
+  if (spin_parked_ && ready_count_ == 0 && tasklets_.empty() &&
+      !node_.has_tick_hooks()) {
+    // A parked spinner with nothing to preempt it for: this tick and the
+    // ones after it are no-ops, so stop re-arming until someone calls
+    // resume_tick().  This is what lets a drained queue expose a wait
+    // that can never complete.
+    tick_lapsed_ = true;
+    tick_phase_ = engine_.now();
+    return;
+  }
   node_.run_tick_hooks(*this);
   if (occ_ == Occupant::kThread &&
       engine_.now() - slice_start_ >= cfg_.quantum && ready_count_ > 0) {
     need_resched_ = true;
+    spin_wake();
   }
   // Softirq semantics: pending tasklets run at the timer interrupt even on
   // a busy core — cut the current compute chunk so the service fiber gets
@@ -349,6 +390,56 @@ SimDuration Cpu::compute_chunk(SimDuration d) {
       std::min<SimDuration>(engine_.now() - chunk_start_, chunk);
   charge(elapsed);
   return d - std::min(d, elapsed);
+}
+
+void Cpu::spin_wait(SimDuration step, SimTime deadline) {
+  PM2_ASSERT_MSG(t_cpu == this, "spin_wait from a fiber not on this CPU");
+  const SimTime now = engine_.now();
+  if (step == 0 || step > cfg_.quantum || occ_ != Occupant::kThread ||
+      (need_resched_ && preempt_off_ == 0) || engine_.fuzzer() != nullptr ||
+      deadline <= now + step) {
+    this_thread::compute(step);
+    return;
+  }
+  spin_parked_ = true;
+  spin_t0_ = now;
+  spin_step_ = step;
+  ++node_.spinners_;
+  ++stats_.spin_parks;
+  if (deadline != kSimTimeNever) {
+    // Wake one step before the first boundary at or after the deadline:
+    // the caller polls there and its last step is a plain compute chunk,
+    // resuming on the deadline boundary just as the stepped loop would.
+    const SimDuration steps = (deadline - now + step - 1) / step;
+    spin_timer_ = engine_.schedule_at(now + (steps - 1) * step, [this] {
+      spin_timer_ = sim::kInvalidEventId;
+      spin_wake();
+    });
+  }
+  suspend_current(SuspendReason::kCompute);
+  spin_parked_ = false;
+  --node_.spinners_;
+  if (spin_timer_ != sim::kInvalidEventId) {
+    engine_.cancel(spin_timer_);
+    spin_timer_ = sim::kInvalidEventId;
+  }
+  resume_tick();
+  // Resumed on a boundary (a wake), or mid-step (a hard preemption).
+  const SimDuration elapsed = engine_.now() - spin_t0_;
+  const SimDuration partial = elapsed % step;
+  const bool on_boundary = elapsed > 0 && partial == 0;
+  stats_.polls_elided += elapsed / step - (on_boundary ? 1 : 0);
+  charge(elapsed);
+  if (!on_boundary) this_thread::compute(step - partial);
+}
+
+void Cpu::spin_wake() {
+  if (!spin_parked_ || resume_event_ != sim::kInvalidEventId) return;
+  const SimDuration since = engine_.now() - spin_t0_;
+  const SimDuration steps =
+      std::max<SimDuration>(1, (since + spin_step_ - 1) / spin_step_);
+  resume_event_ = engine_.schedule_at(spin_t0_ + steps * spin_step_,
+                                      [this] { run_occupant(); });
 }
 
 void Cpu::yield_current() {
@@ -481,6 +572,8 @@ void Cpu::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/ctx_switches", &stats_.ctx_switches);
   registry.bind_counter(p + "/steals", &stats_.steals);
   registry.bind_counter(p + "/dispatches", &stats_.dispatches);
+  registry.bind_counter(p + "/spin_parks", &stats_.spin_parks);
+  registry.bind_counter(p + "/polls_elided", &stats_.polls_elided);
   for (std::size_t i = 0; i < kNumCoreStates; ++i) {
     registry.bind_counter(
         p + "/state/" + core_state_name(static_cast<CoreState>(i)) + "_ns",

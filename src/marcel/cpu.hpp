@@ -122,6 +122,28 @@ class Cpu {
   /// Node::wake() later.
   void block_current();
 
+  /// Busy-wait in whole steps: the virtual-time outcome of looping
+  /// `compute(step)` while every poll between the steps finds nothing,
+  /// without one event per step.  The thread parks with its core busy and
+  /// the first spin_wake() resumes it on the first boundary `t0 + k·step`
+  /// (k ≥ 1) at or after the wake, charging the elapsed steps in one
+  /// piece; the caller then polls as it would have on that boundary.  A
+  /// hard request_resched() resumes at once and finishes the partial step
+  /// the way compute() does (so the thread may return migrated).  With a
+  /// `deadline`, the wait also ends on the first boundary at or after it.
+  /// Falls back to plain compute(step) under the schedule fuzzer, from a
+  /// service fiber, when a preemption is due, or when the deadline is at
+  /// most one step away.
+  void spin_wait(SimDuration step, SimTime deadline = kSimTimeNever);
+
+  /// Wake a spin_wait() parked on this CPU (no-op otherwise): resume it on
+  /// its first step boundary at or after now.  Engine or fiber context.
+  void spin_wake();
+
+  /// True while a thread is parked in spin_wait() here, and since when.
+  [[nodiscard]] bool spin_parked() const noexcept { return spin_parked_; }
+  [[nodiscard]] SimTime spin_since() const noexcept { return spin_t0_; }
+
   /// Keep the current thread on this core through its critical section:
   /// compute_chunk() will not honour need_resched while the count is
   /// non-zero.  Used by nm::EngineLock so a lock holder cannot be parked
@@ -153,6 +175,8 @@ class Cpu {
     std::uint64_t ctx_switches = 0;
     std::uint64_t steals = 0;
     std::uint64_t dispatches = 0;
+    std::uint64_t spin_parks = 0;    // spin_wait() parks
+    std::uint64_t polls_elided = 0;  // empty poll steps skipped while parked
 
     void merge(const Stats& o) noexcept {
       thread_busy_ns += o.thread_busy_ns;
@@ -161,6 +185,8 @@ class Cpu {
       ctx_switches += o.ctx_switches;
       steals += o.steals;
       dispatches += o.dispatches;
+      spin_parks += o.spin_parks;
+      polls_elided += o.polls_elided;
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -182,6 +208,8 @@ class Cpu {
   Thread* pick_thread();
   Thread* try_steal();
   void arm_tick();
+  void schedule_tick(SimTime when);
+  void resume_tick();
   void on_tick();
   void finish_thread(Thread& t);
   void trace_occupancy_end();
@@ -234,6 +262,17 @@ class Cpu {
   std::string trace_track_;  // cached "node<i>/cpu<j>"
 
   Stats stats_;
+
+  // A parked spinner's tick stops re-arming while it has nothing to do;
+  // resume_tick() re-arms it in phase with the last tick that ran.
+  bool tick_lapsed_ = false;
+  SimTime tick_phase_ = 0;
+
+  // spin_wait() park state.
+  bool spin_parked_ = false;
+  SimTime spin_t0_ = 0;
+  SimDuration spin_step_ = 0;
+  sim::EventId spin_timer_ = sim::kInvalidEventId;  // deadline wake
 };
 
 namespace detail {

@@ -95,6 +95,7 @@ int Node::add_idle_hook(IdleHook hook) {
 void Node::remove_idle_hook(int id) { idle_hooks_.erase(id); }
 
 int Node::add_tick_hook(TickHook hook) {
+  for (auto& c : cpus_) c->resume_tick();
   return tick_hooks_.insert(std::move(hook));
 }
 
@@ -133,6 +134,13 @@ void Node::offer_steal(Cpu& origin) {
       c->kick(cfg_.wakeup_cost);
       return;
     }
+  }
+}
+
+void Node::wake_spinners(const Cpu* except) {
+  if (spinners_ == 0) return;
+  for (auto& c : cpus_) {
+    if (c.get() != except) c->spin_wake();
   }
 }
 

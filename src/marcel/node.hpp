@@ -75,6 +75,9 @@ class Node {
   [[nodiscard]] bool has_idle_hooks() const noexcept {
     return !idle_hooks_.empty();
   }
+  [[nodiscard]] bool has_tick_hooks() const noexcept {
+    return !tick_hooks_.empty();
+  }
   /// Registry slot high-water marks (live + reusable holes) — regression
   /// tests bound these to prove hook churn does not grow the tables.
   [[nodiscard]] std::size_t idle_hook_slots() const noexcept {
@@ -93,6 +96,10 @@ class Node {
 
   /// Wake one halted CPU (≠ origin) so it can steal surplus ready threads.
   void offer_steal(Cpu& origin);
+
+  /// Wake every thread parked in Cpu::spin_wait() on this node (except on
+  /// `except`): something it may be polling for just changed.
+  void wake_spinners(const Cpu* except = nullptr);
 
   /// All threads ever spawned and not yet reaped (diagnostics).
   [[nodiscard]] std::size_t live_threads() const noexcept;
@@ -117,6 +124,7 @@ class Node {
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<Thread>> threads_;
   unsigned next_spawn_cpu_ = 0;
+  unsigned spinners_ = 0;  // CPUs parked in spin_wait()
 
   SlotMap<IdleHook> idle_hooks_;
   SlotMap<TickHook> tick_hooks_;

@@ -333,15 +333,12 @@ void Engine::wait(CollRequest* cr) {
     cr->cond_->wait();
   } else {
     // App-driven baseline: the caller performs the whole execution.
-    while (!cr->done_) {
-      marcel::Cpu& cpu = marcel::this_thread::cpu();
-      const bool drained = drain();
-      const bool progressed = core_.progress(cpu);
-      if (!cr->done_ && !drained && !progressed &&
-          core_.config().app_poll_gap > 0) {
-        marcel::this_thread::compute(core_.config().app_poll_gap);
-      }
-    }
+    core_.poll_until([cr] { return cr->done_; },
+                     [this](marcel::Cpu& cpu) {
+                       const bool drained = drain();
+                       const bool progressed = core_.progress(cpu);
+                       return drained || progressed;
+                     });
   }
   release(cr);
 }

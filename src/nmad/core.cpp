@@ -104,6 +104,13 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
               }
             },
     });
+  } else {
+    // App-driven waits park between empty polls; an arrival wakes them.
+    for (unsigned r = 0; r < fabric_.rails(); ++r) {
+      fabric_.nic(node_id(), r).set_rx_notify([this] {
+        node_.wake_spinners();
+      });
+    }
   }
 }
 
@@ -169,6 +176,7 @@ void Core::complete(Request& req) {
   req.done = true;
   const double latency = to_us(fabric_.engine().now() - req.issued_at);
   (req.op == Request::Op::kSend ? send_lat_ : recv_lat_).add(latency);
+  node_.wake_spinners();  // e.g. an RDMA completion in engine context
   if (req.cond.has_value()) req.cond->signal();
   if (server_ != nullptr) {
     if (req.critical) {
@@ -348,13 +356,8 @@ void Core::wait(Request* req) {
     flight_stamp(*req, Stage::kWoken);
   } else {
     // App-driven progression: this thread does all the work.
-    while (!req->done) {
-      marcel::Cpu& cpu = marcel::this_thread::cpu();
-      const bool progressed = progress(cpu);
-      if (!req->done && !progressed && cfg_.app_poll_gap > 0) {
-        marcel::this_thread::compute(cfg_.app_poll_gap);
-      }
-    }
+    poll_until([req] { return req->done; },
+               [this](marcel::Cpu& cpu) { return progress(cpu); });
     flight_stamp(*req, Stage::kWoken);
   }
   release(req);
@@ -391,14 +394,10 @@ Status Core::wait_for(Request* req, SimDuration timeout) {
     }
     return st;
   }
-  const SimTime deadline = fabric_.engine().now() + timeout;
-  while (!req->done) {
-    if (fabric_.engine().now() >= deadline) return Status::kTimedOut;
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    const bool progressed = progress(cpu);
-    if (!req->done && !progressed && cfg_.app_poll_gap > 0) {
-      marcel::this_thread::compute(cfg_.app_poll_gap);
-    }
+  if (!poll_until([req] { return req->done; },
+                  [this](marcel::Cpu& cpu) { return progress(cpu); },
+                  fabric_.engine().now() + timeout)) {
+    return Status::kTimedOut;
   }
   flight_stamp(*req, Stage::kWoken);
   release(req);

@@ -200,6 +200,31 @@ class Core {
   /// for baseline wait loops.
   bool progress(marcel::Cpu& cpu);
 
+  /// The app-driven wait loop every baseline wait shares: until `done()`
+  /// holds, the calling thread runs one `poll(cpu)` round itself and,
+  /// after a round that made no progress, busy-waits app_poll_gap before
+  /// the next one.  In app-driven mode the busy-wait parks in
+  /// Cpu::spin_wait(), so a run of empty rounds costs no events; NIC
+  /// arrivals, completions and sibling fibers wake it (docs/concurrency.md
+  /// §6).  Returns false once `deadline` has passed — checked before each
+  /// round, so a timeout lands on the first round boundary at or after it.
+  template <typename Done, typename Poll>
+  bool poll_until(Done&& done, Poll&& poll,
+                  SimTime deadline = kSimTimeNever) {
+    while (!done()) {
+      if (fabric_.engine().now() >= deadline) return false;
+      const bool progressed = poll(marcel::this_thread::cpu());
+      if (done() || progressed || cfg_.app_poll_gap == 0) continue;
+      if (server_ != nullptr) {
+        // PIOMan has wake sources of its own (ltasks, interrupts): step.
+        marcel::this_thread::compute(cfg_.app_poll_gap);
+      } else {
+        marcel::this_thread::cpu().spin_wait(cfg_.app_poll_gap, deadline);
+      }
+    }
+    return true;
+  }
+
   // ---------------- introspection ----------------
 
   [[nodiscard]] unsigned node_id() const noexcept { return node_.index(); }

@@ -101,13 +101,8 @@ void Engine::wait_until(Pred done) {
     return;
   }
   // App-driven baseline: the waiting thread performs all progression.
-  while (!done()) {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    const bool progressed = core_.progress(cpu);
-    if (!done() && !progressed && core_.config().app_poll_gap > 0) {
-      marcel::this_thread::compute(core_.config().app_poll_gap);
-    }
-  }
+  core_.poll_until(done,
+                   [this](marcel::Cpu& cpu) { return core_.progress(cpu); });
 }
 
 // ------------------------------------------------------ window lifecycle

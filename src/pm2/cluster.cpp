@@ -352,6 +352,28 @@ bool Cluster::write_metrics_json(const std::string& path) {
   return ok;
 }
 
+void Cluster::run() {
+  engine_.run();
+  if (!engine_.empty()) return;  // stopped early
+  bool stuck = false;
+  for (unsigned n = 0; n < runtime_->node_count(); ++n) {
+    marcel::Node& node = runtime_->node(n);
+    for (unsigned c = 0; c < node.cpu_count(); ++c) {
+      marcel::Cpu& cpu = node.cpu(c);
+      if (!cpu.spin_parked()) continue;
+      const marcel::Thread* t = cpu.current_thread();
+      std::fprintf(stderr,
+                   "pm2: event queue drained with an app-driven wait still "
+                   "spinning: node %u cpu %u thread '%s', parked since "
+                   "t=%llu ns; nothing left can complete it\n",
+                   n, c, t != nullptr ? t->name().c_str() : "?",
+                   static_cast<unsigned long long>(cpu.spin_since()));
+      stuck = true;
+    }
+  }
+  if (stuck) std::abort();
+}
+
 marcel::Thread& Cluster::run_on(unsigned i, std::function<void()> fn,
                                 std::string name, int cpu_hint) {
   PM2_ASSERT(i < cfg_.nodes);

@@ -140,8 +140,10 @@ class Cluster {
   marcel::Thread& run_on(unsigned i, std::function<void()> fn,
                          std::string name = "app", int cpu_hint = -1);
 
-  /// Run the simulation until quiescence.
-  void run() { engine_.run(); }
+  /// Run the simulation until quiescence.  Aborts with a diagnosis on
+  /// stderr if the queue drains while an app-driven wait is still parked
+  /// in Cpu::spin_wait(): nothing is left that could ever complete it.
+  void run();
   [[nodiscard]] SimTime now() const noexcept { return engine_.now(); }
 
   /// Attach a timeline tracer (see sim/trace.hpp).  Alternatively set the

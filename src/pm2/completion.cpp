@@ -36,14 +36,9 @@ void Completion::wait() {
   }
   // App-driven baseline: signals only arrive while this thread calls
   // into the library, so the waiter performs the whole progression.
-  const auto& cfg = engine_.core().config();
-  while (remaining_ > 0) {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    const bool progressed = engine_.progress(cpu);
-    if (remaining_ > 0 && !progressed && cfg.app_poll_gap > 0) {
-      marcel::this_thread::compute(cfg.app_poll_gap);
-    }
-  }
+  engine_.core().poll_until(
+      [this] { return remaining_ == 0; },
+      [this](marcel::Cpu& cpu) { return engine_.progress(cpu); });
 }
 
 void Completion::deliver(std::uint32_t delta) {

@@ -372,14 +372,8 @@ bool Engine::progress(marcel::Cpu& cpu) {
 }
 
 void Engine::serve_until_handlers_done(std::uint64_t target) {
-  while (stats_.handlers_done < target) {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    const bool progressed = progress(cpu);
-    if (stats_.handlers_done < target && !progressed &&
-        core_.config().app_poll_gap > 0) {
-      marcel::this_thread::compute(core_.config().app_poll_gap);
-    }
-  }
+  core_.poll_until([this, target] { return stats_.handlers_done >= target; },
+                   [this](marcel::Cpu& cpu) { return progress(cpu); });
 }
 
 // ---------------------------------------------------------------- pools
