@@ -31,6 +31,27 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Count, sum and max in constant memory.  mean() divides the same
+/// in-order sum Samples::mean() computes, so the two agree bit for bit.
+class SumStats {
+ public:
+  void add(double x) noexcept {
+    if (n_ == 0 || x > max_) max_ = x;
+    sum_ += x;
+    ++n_;
+  }
+  [[nodiscard]] std::size_t count() const noexcept { return n_; }
+  [[nodiscard]] double mean() const noexcept {
+    return n_ ? sum_ / static_cast<double>(n_) : 0.0;
+  }
+  [[nodiscard]] double max() const noexcept { return max_; }
+
+ private:
+  std::size_t n_ = 0;
+  double sum_ = 0.0;
+  double max_ = 0.0;
+};
+
 /// Exact-percentile sample recorder (stores all samples; fine for the
 /// bench-sized datasets we produce).
 class Samples {

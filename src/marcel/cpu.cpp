@@ -224,6 +224,30 @@ void Cpu::run_occupant() {
   resume_event_ = sim::kInvalidEventId;
   // Whatever this fiber does may be what a sibling's spinner polls for.
   if (node_.spinners_ != 0) node_.wake_spinners(this);
+  resume_occupant();
+}
+
+void Cpu::end_spin_granule() {
+  // The resume event of a spin_chunk() granule.  The stepped loop would
+  // resume the fiber here, charge the granule, find the word still set and
+  // schedule the next granule from compute_chunk(); doing those same steps
+  // in engine context leaves every event and schedule point unchanged.
+  resume_event_ = sim::kInvalidEventId;
+  if (node_.spinners_ != 0) node_.wake_spinners(this);
+  if (*granule_word_ != nullptr && !preemption_due() &&
+      engine_.fuzzer() == nullptr) {
+    charge(chunk_len_);
+    ++stats_.spin_granules;
+    chunk_start_ = engine_.now();
+    chunk_len_ = granule_step_;
+    resume_event_ =
+        engine_.schedule_after(chunk_len_, [this] { end_spin_granule(); });
+    return;
+  }
+  resume_occupant();
+}
+
+void Cpu::resume_occupant() {
   sim::Fiber& f =
       occ_ == Occupant::kThread ? cur_thread_->fiber_ : service_fiber_;
   Cpu* prev_cpu = t_cpu;
@@ -374,7 +398,7 @@ SimDuration Cpu::compute_chunk(SimDuration d) {
   PM2_ASSERT_MSG(t_cpu == this, "compute from a fiber not on this CPU");
   PM2_ASSERT(busy());
   if (d == 0) return 0;
-  if (need_resched_ && occ_ == Occupant::kThread && preempt_off_ == 0) {
+  if (preemption_due()) {
     suspend_current(SuspendReason::kPreempted);
     return d;  // caller refetches the (possibly new) CPU and continues
   }
@@ -390,6 +414,35 @@ SimDuration Cpu::compute_chunk(SimDuration d) {
       std::min<SimDuration>(engine_.now() - chunk_start_, chunk);
   charge(elapsed);
   return d - std::min(d, elapsed);
+}
+
+SimDuration Cpu::spin_chunk(SimDuration d, SimDuration step,
+                            const void* const* word) {
+  // One chunk must cover the rest of the granule (`d` ≤ `step` ≤ quantum)
+  // for the engine-context re-check to fall where the stepped loop's does.
+  if (engine_.fuzzer() != nullptr || step > cfg_.quantum) {
+    return compute_chunk(d);
+  }
+  PM2_ASSERT_MSG(t_cpu == this, "spin from a fiber not on this CPU");
+  PM2_ASSERT(busy() && d <= step);
+  if (d == 0) return 0;
+  if (preemption_due()) {
+    suspend_current(SuspendReason::kPreempted);
+    return d;
+  }
+  chunk_start_ = engine_.now();
+  chunk_len_ = d;
+  granule_word_ = word;
+  granule_step_ = step;
+  resume_event_ = engine_.schedule_after(d, [this] { end_spin_granule(); });
+  suspend_current(SuspendReason::kCompute);
+  granule_word_ = nullptr;
+  // Resumed at the end of the last granule armed, or inside it by a hard
+  // preemption; earlier granules were charged in engine context.
+  const SimDuration elapsed =
+      std::min<SimDuration>(engine_.now() - chunk_start_, chunk_len_);
+  charge(elapsed);
+  return chunk_len_ - elapsed;
 }
 
 void Cpu::spin_wait(SimDuration step, SimTime deadline) {

@@ -115,6 +115,19 @@ class Cpu {
   /// thread.  Also usable from the service fiber (tasklet/poll costs).
   [[nodiscard]] SimDuration compute_chunk(SimDuration d);
 
+  /// compute_chunk() for a busy-wait on a lock word, in `step` granules:
+  /// `d` is what is left of the current granule.  The virtual-time outcome
+  /// is that of looping `while (*word) compute(step)`, with the same events
+  /// at the same schedule points; only the fiber switches are skipped.
+  /// While a granule ends with `*word` still set and no preemption due, its
+  /// resume event charges it and re-arms the next one in engine context;
+  /// the fiber resumes (and re-checks the word) once the word clears, a
+  /// preemption is due, or a hard resched cuts the granule.  Falls back to
+  /// compute_chunk() under the schedule fuzzer or when `step` exceeds the
+  /// quantum.
+  [[nodiscard]] SimDuration spin_chunk(SimDuration d, SimDuration step,
+                                       const void* const* word);
+
   /// Yield from the current thread.
   void yield_current();
 
@@ -177,6 +190,8 @@ class Cpu {
     std::uint64_t dispatches = 0;
     std::uint64_t spin_parks = 0;    // spin_wait() parks
     std::uint64_t polls_elided = 0;  // empty poll steps skipped while parked
+    std::uint64_t spin_granules = 0; // lock-spin granules re-armed in engine
+                                     // context (no fiber switch)
 
     void merge(const Stats& o) noexcept {
       thread_busy_ns += o.thread_busy_ns;
@@ -187,12 +202,14 @@ class Cpu {
       dispatches += o.dispatches;
       spin_parks += o.spin_parks;
       polls_elided += o.polls_elided;
+      spin_granules += o.spin_granules;
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Bind every counter above into `registry` under `prefix` (e.g.
-  /// "node0/cpu3").  SimDuration fields export as nanosecond counters.
+  /// Bind every counter above but `spin_granules` (read by tests only)
+  /// into `registry` under `prefix` (e.g. "node0/cpu3").  SimDuration
+  /// fields export as nanosecond counters.
   void bind_metrics(MetricsRegistry& registry, std::string_view prefix) const;
 
  private:
@@ -204,6 +221,11 @@ class Cpu {
   void dispatch();
   void begin_run(Occupant what, Thread* t);
   void run_occupant();
+  void resume_occupant();
+  void end_spin_granule();
+  [[nodiscard]] bool preemption_due() const noexcept {
+    return need_resched_ && occ_ == Occupant::kThread && preempt_off_ == 0;
+  }
   void handle_suspension();
   Thread* pick_thread();
   Thread* try_steal();
@@ -253,6 +275,11 @@ class Cpu {
 
   sim::EventId resume_event_ = sim::kInvalidEventId;
   SimTime chunk_start_ = 0;
+  SimDuration chunk_len_ = 0;
+  // spin_chunk() state: the lock word spun on (null otherwise) and the
+  // granule length re-armed in engine context.
+  const void* const* granule_word_ = nullptr;
+  SimDuration granule_step_ = 0;
   SimTime slice_start_ = 0;
 
   sim::EventId tick_event_ = sim::kInvalidEventId;

@@ -50,6 +50,11 @@ void compute(SimDuration d) {
   }
 }
 
+void spin_granule(SimDuration step, const void* const* word) {
+  SimDuration d = step;
+  while (d > 0) d = cpu().spin_chunk(d, step, word);
+}
+
 void yield() { cpu().yield_current(); }
 
 void sleep(SimDuration d) {

@@ -89,6 +89,12 @@ namespace this_thread {
 /// boundaries; returns with the thread possibly migrated.
 void compute(SimDuration d);
 
+/// One busy-wait granule on a lock word: the virtual-time outcome of
+/// compute(step), after which the caller re-checks `*word`.  Further
+/// granules that would find the word still set run in engine context
+/// without resuming the fiber (Cpu::spin_chunk).
+void spin_granule(SimDuration step, const void* const* word);
+
 /// Give up the CPU; the thread stays ready.
 void yield();
 

@@ -280,9 +280,13 @@ class Core {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Post-to-completion latency samples (µs), by operation kind.
-  [[nodiscard]] Samples& send_latency_us() noexcept { return send_lat_; }
-  [[nodiscard]] Samples& recv_latency_us() noexcept { return recv_lat_; }
+  /// Post-to-completion latency (µs) count/mean/max, by operation kind.
+  [[nodiscard]] const SumStats& send_latency_us() const noexcept {
+    return send_lat_;
+  }
+  [[nodiscard]] const SumStats& recv_latency_us() const noexcept {
+    return recv_lat_;
+  }
 
   /// Bind every counter above into `registry` under `prefix` (e.g.
   /// "node0/nm").  The registry reads through the bound pointers at export
@@ -409,8 +413,8 @@ class Core {
   std::uint64_t next_trace_id_ = 0;
   std::uint64_t next_span_id_ = 0;
   Stats stats_;
-  Samples send_lat_;
-  Samples recv_lat_;
+  SumStats send_lat_;
+  SumStats recv_lat_;
 };
 
 }  // namespace pm2::nm

@@ -22,9 +22,10 @@ void EngineLock::lock() {
       contended = true;
       lockdep_hook::contended(this, "nm::EngineLock");
     }
-    // Burn one spin granule; the holder runs on another core (it cannot
-    // be preempted while holding) and eventually releases.
-    marcel::this_thread::compute(spin_ > 0 ? spin_ : 1);
+    // Burn spin granules; the holder runs on another core (it cannot be
+    // preempted while holding) and eventually releases.  Granules that
+    // still find the lock held are re-armed in engine context.
+    marcel::this_thread::spin_granule(spin_ > 0 ? spin_ : 1, &owner_);
   }
   owner_ = self;
   depth_ = 1;

@@ -9,7 +9,9 @@
 //  - ownership is a fiber token plus a depth (the protocol re-enters the
 //    engine, e.g. isend -> flush_gate), so acquisition is reentrant;
 //  - a contended acquire spins in `spin` granules of virtual CPU time
-//    until the holder releases, making contention visible in sim-time;
+//    until the holder releases, making contention visible in sim-time
+//    (granules that find the lock still held cost one event each but no
+//    fiber switch: marcel::this_thread::spin_granule);
 //  - while held, preemption of the holder is disabled on its core — a
 //    holder parked on a runqueue behind a fiber spinning on this very
 //    lock would otherwise livelock the virtual machine;

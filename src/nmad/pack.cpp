@@ -56,6 +56,7 @@ void Unpack::recv_and_wait() {
   charge_copy(core_.config(), total_);
   std::size_t offset = 0;
   for (const auto segment : segments_) {
+    if (segment.empty()) continue;  // its data() may be null
     std::memcpy(segment.data(), staging.data() + offset, segment.size());
     offset += segment.size();
   }

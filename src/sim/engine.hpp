@@ -3,10 +3,9 @@
 // order, and no real-time source is consulted anywhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/simtime.hpp"
@@ -15,7 +14,8 @@ namespace pm2::sim {
 
 class ScheduleFuzzer;
 
-/// Identifier usable to cancel a scheduled event.  Never reused.
+/// Identifier usable to cancel a scheduled event.  Never reused: it packs
+/// the schedule sequence number above the event's callback slot.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -61,45 +61,57 @@ class Engine {
   void set_fuzzer(ScheduleFuzzer* fuzzer) noexcept { fuzzer_ = fuzzer; }
   [[nodiscard]] ScheduleFuzzer* fuzzer() const noexcept { return fuzzer_; }
 
-  /// Run events with time <= `t`; afterwards now() == t unless stopped
-  /// early.  Returns false if stop() interrupted the run.
+  /// Run events with time <= `t` (never one later, even when cancelled
+  /// entries sit on top); afterwards now() == t unless stopped early.
+  /// Returns false if stop() interrupted the run.
   bool run_until(SimTime t);
 
   /// Stop the run loop after the current event returns.
   void stop() noexcept { stopped_ = true; }
 
-  [[nodiscard]] bool empty() const noexcept { return pending_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return events_pending() == 0; }
 
   /// Number of events dispatched so far (diagnostics).
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
   }
+  /// Events neither run nor cancelled: exactly the slots in use.
   [[nodiscard]] std::size_t events_pending() const noexcept {
-    return pending_.size();
+    return slab_.size() - free_slots_.size();
   }
 
  private:
-  struct Event {
+  // The queue is a 4-ary min-heap of 16-byte POD keys over a slab of
+  // callbacks.  An id is `seq << kSlotBits | slot`: comparing ids compares
+  // schedule order (FIFO within a timestamp), and cancel() is O(1) — it
+  // clears the slot's owner, and the key is dropped when it surfaces.  A
+  // stale id never matches a reused slot's owner, whose seq differs.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  struct Key {
     SimTime time;
     EventId id;
-    Callback cb;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.time != b.time ? a.time > b.time : a.id > b.id;
-    }
-  };
-
-  /// Pops the next non-cancelled event; false when drained.
+  static bool before(const Key& a, const Key& b) noexcept {
+    return a.time != b.time ? a.time < b.time : a.id < b.id;
+  }
+  void heap_push(Key k);
+  void heap_pop();
+  /// Pops cancelled keys off the top of the heap.
+  void drop_cancelled();
+  /// Runs the next non-cancelled event; false when drained.
   bool step();
 
   SimTime now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   ScheduleFuzzer* fuzzer_ = nullptr;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> pending_;  // ids not yet run nor cancelled
+  std::vector<Key> heap_;
+  std::vector<Callback> slab_;           // callback per slot
+  std::vector<EventId> owner_;           // live id per slot, else invalid
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace pm2::sim

@@ -40,6 +40,23 @@ TEST(RunningStats, MergeMatchesSequential) {
   EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
+TEST(SumStats, MeanMatchesSamplesBitForBit) {
+  SumStats acc;
+  Samples all;
+  EXPECT_EQ(acc.mean(), 0.0);
+  EXPECT_EQ(acc.max(), 0.0);
+  double x = 0.1;
+  for (int i = 0; i < 1000; ++i) {
+    x = x * 1.37 + 0.013;
+    if (x > 50.0) x -= 49.7;
+    acc.add(-x);
+    all.add(-x);
+  }
+  EXPECT_EQ(acc.count(), all.count());
+  EXPECT_EQ(acc.mean(), all.mean());  // exact, not within a tolerance
+  EXPECT_EQ(acc.max(), all.max());    // all negative: max is not the 0 seed
+}
+
 TEST(Samples, Percentiles) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(i);

@@ -59,7 +59,8 @@ TEST(LockProfile, AnonymousSitesAggregateByClass) {
   a.unlock();
   b.lock();
   b.unlock();
-  const auto* site = find_site(lock_profile::snapshot(), "locks/pm2::Spinlock");
+  const auto sites = lock_profile::snapshot();
+  const auto* site = find_site(sites, "locks/pm2::Spinlock");
   ASSERT_NE(site, nullptr);
   EXPECT_EQ(site->acq, 2u);
   EXPECT_EQ(site->contended, 0u);
@@ -108,7 +109,8 @@ TEST(LockProfile, MutexContentionMeasuredInSimTime) {
     mu.unlock();
   });
   m.eng.run();
-  const auto* site = find_site(lock_profile::snapshot(), "test/locks/mu");
+  const auto sites = lock_profile::snapshot();
+  const auto* site = find_site(sites, "test/locks/mu");
   ASSERT_NE(site, nullptr);
   EXPECT_EQ(site->acq, 2u);
   EXPECT_EQ(site->contended, 1u);

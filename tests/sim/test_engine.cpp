@@ -1,6 +1,12 @@
 // Discrete-event engine: ordering, determinism, cancellation, run_until.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -126,6 +132,188 @@ TEST(Engine, DeterministicAcrossRuns) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Engine, StaleIdCannotCancelReusedSlot) {
+  Engine eng;
+  int first = 0;
+  int second = 0;
+  const EventId a = eng.schedule_at(10, [&] { ++first; });
+  eng.run();
+  ASSERT_EQ(first, 1);
+  const EventId b = eng.schedule_at(20, [&] { ++second; });
+  // The freed callback slot is reused, under a new id.
+  ASSERT_NE(a, b);
+  ASSERT_EQ(a & 0xffffff, b & 0xffffff);
+  EXPECT_FALSE(eng.cancel(a)) << "an id that already ran";
+  const EventId c = eng.schedule_at(30, [&] { ++second; });
+  EXPECT_TRUE(eng.cancel(c));
+  const EventId d = eng.schedule_at(40, [&] { ++second; });
+  ASSERT_EQ(c & 0xffffff, d & 0xffffff);
+  EXPECT_FALSE(eng.cancel(c)) << "a cancelled id whose slot was reused";
+  EXPECT_EQ(eng.events_pending(), 2u);
+  eng.run();
+  EXPECT_EQ(second, 2);
+}
+
+TEST(Engine, CancelInvalidAndTwiceFails) {
+  Engine eng;
+  EXPECT_FALSE(eng.cancel(kInvalidEventId));
+  const EventId id = eng.schedule_at(5, [] {});
+  EXPECT_FALSE(eng.cancel(kInvalidEventId));
+  EXPECT_FALSE(eng.cancel(id + 1)) << "an id never handed out";
+  EXPECT_TRUE(eng.cancel(id));
+  EXPECT_FALSE(eng.cancel(id));
+  EXPECT_TRUE(eng.empty());
+}
+
+TEST(Engine, CallbackCannotCancelItself) {
+  Engine eng;
+  EventId self = kInvalidEventId;
+  bool cancelled = true;
+  self = eng.schedule_at(5, [&] { cancelled = eng.cancel(self); });
+  eng.run();
+  EXPECT_FALSE(cancelled);
+}
+
+TEST(Engine, FifoAcrossManySameTimeEventsWithCancels) {
+  Engine eng;
+  constexpr int kEvents = 12000;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  std::vector<int> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    ids.push_back(eng.schedule_at(1000, [&order, i] { order.push_back(i); }));
+    // Cancel every third event a little later, reusing freed slots for
+    // the events scheduled after it.
+    if (i % 3 == 2) {
+      ASSERT_TRUE(eng.cancel(ids[static_cast<std::size_t>(i - 1)]));
+    }
+  }
+  for (int i = 0; i < kEvents; ++i) {
+    if (i % 3 != 1) expected.push_back(i);
+  }
+  EXPECT_EQ(eng.events_pending(), expected.size());
+  eng.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(eng.events_processed(), expected.size());
+}
+
+TEST(Engine, PendingAndEmptyTrackCancels) {
+  Engine eng;
+  const EventId a = eng.schedule_at(10, [] {});
+  const EventId b = eng.schedule_at(20, [] {});
+  EXPECT_EQ(eng.events_pending(), 2u);
+  EXPECT_TRUE(eng.cancel(b));
+  EXPECT_EQ(eng.events_pending(), 1u);
+  EXPECT_FALSE(eng.empty());
+  EXPECT_TRUE(eng.cancel(a));
+  EXPECT_EQ(eng.events_pending(), 0u);
+  EXPECT_TRUE(eng.empty());
+  EXPECT_FALSE(eng.run_one()) << "only cancelled entries remain";
+  EXPECT_EQ(eng.now(), 0u);
+  EXPECT_EQ(eng.events_processed(), 0u);
+}
+
+TEST(Engine, RunUntilSkipsCancelledTopWithoutOverrunning) {
+  Engine eng;
+  int fired = 0;
+  const EventId early = eng.schedule_at(10, [&] { ++fired; });
+  eng.schedule_at(100, [&] { ++fired; });
+  ASSERT_TRUE(eng.cancel(early));
+  EXPECT_TRUE(eng.run_until(50));
+  EXPECT_EQ(fired, 0) << "the live event beyond the limit must not run";
+  EXPECT_EQ(eng.now(), 50u);
+  EXPECT_EQ(eng.events_pending(), 1u);
+  EXPECT_TRUE(eng.run_until(100));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(eng.now(), 100u);
+}
+
+// Randomized differential test against a reference model: an ordered set
+// of (time, schedule sequence) keys.  Some callbacks schedule a child, and
+// cancels target live, already-run and cancelled ids alike.
+TEST(Engine, MatchesReferenceModel) {
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    Engine eng;
+    std::uint64_t model_now = 0;
+    std::uint64_t model_seq = 0;
+    std::set<std::tuple<SimTime, std::uint64_t, int>> model;  // t, seq, tag
+    std::unordered_map<int, EventId> id_of;
+    std::unordered_map<int, std::tuple<SimTime, std::uint64_t, int>> key_of;
+    std::vector<int> ran;
+    std::vector<int> model_ran;
+    int next_tag = 0;
+
+    // Schedules in both; `at` is absolute time.
+    std::function<void(SimTime, int)> schedule = [&](SimTime at, int tag) {
+      const auto key = std::make_tuple(at, model_seq++, tag);
+      model.insert(key);
+      key_of[tag] = key;
+      id_of[tag] = eng.schedule_at(at, [&, tag] {
+        ran.push_back(tag);
+        if (tag % 5 == 0) {  // spawn a child, possibly at the same time
+          const int child = next_tag++;
+          schedule(eng.now() + static_cast<SimTime>(tag % 3), child);
+        }
+      });
+    };
+    // Pops the model's next event (any child it spawned is already in).
+    auto model_step = [&] {
+      const auto key = *model.begin();
+      model.erase(model.begin());
+      model_now = std::get<0>(key);
+      const int tag = std::get<2>(key);
+      model_ran.push_back(tag);
+      return tag;
+    };
+
+    for (int op = 0; op < 4000; ++op) {
+      const unsigned r = rng() % 10;
+      if (r < 5) {
+        schedule(eng.now() + rng() % 64, next_tag++);
+      } else if (r < 7 && next_tag > 0) {
+        const int tag =
+            static_cast<int>(rng() % static_cast<unsigned>(next_tag));
+        const bool live = model.erase(key_of[tag]) > 0;
+        EXPECT_EQ(eng.cancel(id_of[tag]), live) << "seed " << seed;
+      } else if (r < 9) {
+        const bool model_has = !model.empty();
+        const std::size_t before = ran.size();
+        EXPECT_EQ(eng.run_one(), model_has) << "seed " << seed;
+        if (model_has) {
+          ASSERT_EQ(ran.size(), before + 1);
+          const int tag = model_step();
+          // The engine already ran the callback, which may have spawned a
+          // child through `schedule` (updating the model too).
+          EXPECT_EQ(ran.back(), tag) << "seed " << seed;
+        }
+      } else {
+        const SimTime limit = eng.now() + rng() % 32;
+        const std::size_t before = ran.size();
+        EXPECT_TRUE(eng.run_until(limit));
+        // Children spawned during the run are in the model by now.
+        std::vector<int> expect;
+        while (!model.empty() && std::get<0>(*model.begin()) <= limit) {
+          expect.push_back(model_step());
+        }
+        const std::vector<int> got(
+            ran.begin() + static_cast<std::ptrdiff_t>(before), ran.end());
+        EXPECT_EQ(got, expect) << "seed " << seed;
+        model_now = limit;
+      }
+      ASSERT_EQ(eng.now(), model_now) << "seed " << seed;
+      ASSERT_EQ(eng.events_pending(), model.size()) << "seed " << seed;
+      ASSERT_EQ(eng.empty(), model.empty()) << "seed " << seed;
+    }
+    while (!model.empty()) {
+      ASSERT_TRUE(eng.run_one());
+      EXPECT_EQ(ran.back(), model_step()) << "seed " << seed;
+    }
+    EXPECT_FALSE(eng.run_one());
+    EXPECT_EQ(ran, model_ran);
+  }
 }
 
 }  // namespace

@@ -9,17 +9,18 @@ Every benchmark run with `--json <path>` writes a pm2-bench-v1 document:
 
 where gate is "lower" (a regression when the value rises), "higher" (a
 regression when it falls) or "none" (informational: lock contention,
-core time-in-state, ...).  This tool aggregates those documents into the
-repo-root trajectory file and gates CI against the committed baseline:
+core time-in-state, ...).  Every metric is a virtual-time figure of the
+model.  This tool aggregates those documents into the repo-root
+trajectory file and gates CI against the committed baseline:
 
     bench_compare.py collect -o BENCH_core.json fig5.json fig6.json ...
         Merge per-bench documents into a pm2-bench-trajectory-v1 file.
 
-    bench_compare.py compare BASELINE.json NEW.json [--threshold 0.10]
-        Exit nonzero when any gated metric regressed by more than the
-        threshold (default 10%), or when a gated metric disappeared.
-        The simulation is deterministic, so any drift is a real change;
-        the threshold only gives intentional model tweaks headroom.
+    bench_compare.py compare BASELINE.json NEW.json
+        Exit nonzero when any metric differs from the baseline at all,
+        in either direction and whatever its gate: the simulation is
+        deterministic, so any drift is a model change and needs a
+        refreshed baseline.  A vanished gated metric fails too.
 
     bench_compare.py selftest
         Verify the gate logic on synthetic data (used by CI and tests).
@@ -104,31 +105,22 @@ def flatten(doc: dict, path: str) -> dict:
     return flat
 
 
-def compare(base_path: str, new_path: str, threshold: float) -> int:
+def compare(base_path: str, new_path: str) -> int:
     base = flatten(load(base_path), base_path)
     new = flatten(load(new_path), new_path)
     failures = []
     checked = 0
     for ident, (old_value, gate) in sorted(base.items()):
-        if gate == "none":
-            continue
         label = "/".join(ident)
         if ident not in new:
-            failures.append(f"{label}: gated metric disappeared")
+            if gate != "none":
+                failures.append(f"{label}: gated metric disappeared")
             continue
         new_value = new[ident][0]
         checked += 1
-        if old_value == 0:
-            continue  # no meaningful ratio; absolute zero baselines pass
-        ratio = new_value / old_value
-        if gate == "lower" and ratio > 1.0 + threshold:
-            failures.append(f"{label}: {old_value:g} -> {new_value:g} "
-                            f"(+{(ratio - 1) * 100:.1f}%, limit "
-                            f"+{threshold * 100:.0f}%)")
-        elif gate == "higher" and ratio < 1.0 - threshold:
-            failures.append(f"{label}: {old_value:g} -> {new_value:g} "
-                            f"({(ratio - 1) * 100:.1f}%, limit "
-                            f"-{threshold * 100:.0f}%)")
+        if new_value != old_value:
+            failures.append(f"{label}: {old_value!r} -> {new_value!r} "
+                            f"(metric must not move)")
     for ident in sorted(set(new) - set(base)):
         if new[ident][1] != "none":
             print(f"bench_compare: note: new gated metric "
@@ -139,8 +131,8 @@ def compare(base_path: str, new_path: str, threshold: float) -> int:
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         return 1
-    print(f"bench_compare: ok ({checked} gated metrics within "
-          f"{threshold * 100:.0f}% of {base_path})")
+    print(f"bench_compare: ok ({checked} metrics identical to "
+          f"{base_path})")
     return 0
 
 
@@ -161,20 +153,29 @@ def selftest() -> int:
                 json.dump(base, f)
             with open(np_, "w", encoding="utf-8") as f:
                 json.dump(new, f)
-            return compare(bp, np_, 0.10)
+            return compare(bp, np_)
 
-    base = traj(lat=(100.0, "lower"), rate=(50.0, "higher"),
-                info=(7.0, "none"))
-    ok_new = traj(lat=(105.0, "lower"), rate=(48.0, "higher"),
-                  info=(900.0, "none"))
-    assert run(base, ok_new) == 0, "within-threshold drift must pass"
-    slow = traj(lat=(111.0, "lower"), rate=(50.0, "higher"),
-                info=(7.0, "none"))
-    assert run(base, slow) == 1, "an 11% latency rise must fail"
-    lost = traj(lat=(100.0, "lower"), rate=(44.0, "higher"),
-                info=(7.0, "none"))
-    assert run(base, lost) == 1, "a 12% throughput drop must fail"
-    gone = traj(rate=(50.0, "higher"))
+    def same(**changed):
+        values = {"lat": (100.0, "lower"), "rate": (50.0, "higher"),
+                  "info": (7.0, "none")}
+        values.update(changed)
+        return traj(**values)
+
+    base = same()
+    assert run(base, same()) == 0, "an identical rerun must pass"
+    # Any drift fails, either way, gated or not.
+    assert run(base, same(lat=(100.0001, "lower"))) == 1, \
+        "a tiny latency rise must fail"
+    assert run(base, same(lat=(99.0, "lower"))) == 1, \
+        "a latency drop must fail too"
+    assert run(base, same(rate=(55.0, "higher"))) == 1, \
+        "a throughput gain must fail too"
+    assert run(base, same(rate=(45.0, "higher"))) == 1, \
+        "a throughput drop must fail"
+    assert run(base, same(info=(8.0, "none"))) == 1, \
+        "an informational drift must fail"
+    gone = same()
+    del gone["benches"]["b"]["records"][0]["metrics"]["lat"]
     assert run(base, gone) == 1, "a vanished gated metric must fail"
     print("bench_compare: selftest ok")
     return 0
@@ -190,13 +191,12 @@ def main() -> None:
     p_compare = sub.add_parser("compare")
     p_compare.add_argument("baseline")
     p_compare.add_argument("new")
-    p_compare.add_argument("--threshold", type=float, default=0.10)
     sub.add_parser("selftest")
     args = parser.parse_args()
     if args.cmd == "collect":
         collect(args.output, args.inputs)
     elif args.cmd == "compare":
-        sys.exit(compare(args.baseline, args.new, args.threshold))
+        sys.exit(compare(args.baseline, args.new))
     else:
         sys.exit(selftest())
 
