@@ -17,7 +17,9 @@
 // ops can be issued in any order on any core without perturbing the
 // per-(peer, tag) FIFO sequence matching underneath.  Ranks allocate tag
 // blocks in lockstep because collectives are called in the same order
-// everywhere (MPI semantics).
+// everywhere (MPI semantics).  Core relies on the one-pair-per-tag rule:
+// coll-band tags get seq 0 and no sequence cursor (Core::coll_seq_free),
+// and a second receive posted on one (src, tag) aborts.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/cond.hpp"
@@ -55,7 +58,6 @@ struct Op {
   std::span<double> red_dst;        // reduce: accumulator (dst += src)
 
   std::uint32_t deps = 0;           // unsatisfied predecessor count
-  std::vector<std::uint32_t> out;   // successors unlocked by my completion
   std::uint64_t span = 0;           // causal-trace coll.op span (0 = off)
 };
 
@@ -65,6 +67,11 @@ inline constexpr std::uint32_t kNoOp = 0xffffffffu;
 /// dep(a, b) records "b cannot start before a completed" — used both for
 /// true data dependencies (reduce after recv) and for anti dependencies
 /// (do not overwrite a buffer an in-flight send still reads).
+///
+/// Successor lists live in one flat array per schedule, not one vector per
+/// op: seal() turns the recorded dep() edges into a CSR (a stable counting
+/// sort by predecessor), so each op's successors keep their dep() order and
+/// a reused schedule allocates nothing once its buffers are warm.
 class Schedule {
  public:
   std::uint32_t send(unsigned peer, Tag tag, std::span<const std::byte> data,
@@ -77,7 +84,26 @@ class Schedule {
                      std::uint16_t round);
   void dep(std::uint32_t before, std::uint32_t after);
 
+  /// Build the successor array from the dep() edges; call after the last
+  /// builder call and before successors().
+  void seal();
+
+  /// Ops unlocked by `idx`'s completion, in dep() order (valid after seal).
+  [[nodiscard]] std::span<const std::uint32_t> successors(
+      std::uint32_t idx) const noexcept {
+    return {succ_.data() + succ_begin_[idx],
+            succ_.data() + succ_begin_[idx + 1]};
+  }
+
+  /// Empty the schedule for reuse, keeping every buffer's capacity.
+  void clear() noexcept;
+
   std::vector<Op> ops;
+
+ private:
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;  // dep() log
+  std::vector<std::uint32_t> succ_begin_;  // CSR offsets, ops.size() + 1
+  std::vector<std::uint32_t> succ_;        // successors, grouped by op
 };
 
 /// Handle for one in-flight collective; obtained from Engine::i*, consumed

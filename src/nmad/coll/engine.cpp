@@ -74,8 +74,30 @@ std::uint32_t Schedule::copy(std::span<std::byte> dst,
 
 void Schedule::dep(std::uint32_t before, std::uint32_t after) {
   PM2_ASSERT(before < ops.size() && after < ops.size() && before != after);
-  ops[before].out.push_back(after);
+  edges_.emplace_back(before, after);
   ++ops[after].deps;
+}
+
+void Schedule::seal() {
+  // Counting sort of the edges by predecessor.  Count into begin[a + 1],
+  // prefix-sum so begin[a] is a's first slot, then place edges in dep()
+  // order, bumping begin[a] as a fill cursor — which leaves begin[a] at
+  // a's end, i.e. one row ahead; the final shift restores the offsets.
+  const std::size_t n = ops.size();
+  succ_begin_.assign(n + 1, 0);
+  for (const auto& e : edges_) ++succ_begin_[e.first + 1];
+  for (std::size_t i = 0; i < n; ++i) succ_begin_[i + 1] += succ_begin_[i];
+  succ_.resize(edges_.size());
+  for (const auto& e : edges_) succ_[succ_begin_[e.first]++] = e.second;
+  for (std::size_t i = n; i > 0; --i) succ_begin_[i] = succ_begin_[i - 1];
+  succ_begin_[0] = 0;
+}
+
+void Schedule::clear() noexcept {
+  ops.clear();
+  edges_.clear();
+  succ_begin_.clear();
+  succ_.clear();
 }
 
 // ------------------------------------------------------- Engine lifecycle
@@ -120,7 +142,7 @@ CollRequest* Engine::acquire(Algo algo) {
     pool_.push_back(std::make_unique<CollRequest>());
     cr = pool_.back().get();
   }
-  cr->sched_.ops.clear();
+  cr->sched_.clear();
   cr->scratch_.clear();
   cr->scratch_d_.clear();
   cr->rounds_.clear();
@@ -149,6 +171,7 @@ void Engine::release(CollRequest* cr) {
 void Engine::launch(CollRequest* cr) {
   ++stats_.started;
   cr->issued_at_ = core_.fabric().engine().now();
+  cr->sched_.seal();
   cr->remaining_ = static_cast<std::uint32_t>(cr->sched_.ops.size());
   if (trace_ != nullptr) {
     // Each rank runs its own trace (ranks launch independently; there is
@@ -278,7 +301,7 @@ void Engine::op_done(CollRequest* cr, std::uint32_t idx) {
                    core_.fabric().engine().now());
   }
   bool newly_ready = false;
-  for (const std::uint32_t succ : op.out) {
+  for (const std::uint32_t succ : cr->sched_.successors(idx)) {
     Op& next = cr->sched_.ops[succ];
     PM2_ASSERT(next.deps > 0);
     if (--next.deps == 0) {

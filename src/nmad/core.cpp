@@ -214,9 +214,11 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
     // send path; the shard guard (free in legacy mode, where the engine
     // lock above already covers it) closes it.  No suspension point sits
     // between the allocation and the table update inside next_send_seq.
+    // A collective-band tag carries one matched pair, so it needs no
+    // cursor (see coll_seq_free).
     matching::Shard& sh = match_.shard_for(dst, tag);
     EngineLockGuard sg(sh.lock.get());
-    req->seq = sh.next_send_seq(dst, tag);
+    req->seq = coll_seq_free(tag) ? 0 : sh.next_send_seq(dst, tag);
   }
   req->send_data = data;
   req->state = Request::State::kQueued;
@@ -284,7 +286,7 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
   // the table lookup keyed on it.
   matching::Shard& sh = match_.shard_for(src, tag);
   EngineLockGuard sg(sh.lock.get());
-  req->seq = sh.next_recv_seq(src, tag);
+  req->seq = coll_seq_free(tag) ? 0 : sh.next_recv_seq(src, tag);
   ++sh.stats.recvs_posted;
   req->recv_buf = buffer;
   req->state = Request::State::kPosted;
@@ -342,7 +344,10 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
     trace_span("nm:irecv", t0);
     return req;
   }
-  sh.posted[key] = req;
+  const bool fresh = sh.posted.emplace(key, req).second;
+  PM2_ASSERT_MSG(fresh,
+                 "two posted receives share one (src, tag, seq) — a "
+                 "collective-band tag carries exactly one matched pair");
   trace_span("nm:irecv", t0);
   return req;
 }

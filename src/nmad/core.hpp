@@ -183,6 +183,17 @@ class Core {
   /// must stay below this line (enforced in alloc_coll_tags).
   static constexpr Tag kRpcTagBase = 0xC0000000u;
 
+  /// True for tags in the collective band [kCollTagBase, kRpcTagBase).
+  /// The collective engine gives every matched (send, recv) pair its own
+  /// tag (coll.hpp, "Tag discipline"), so such a flow never needs a
+  /// sequence cursor: both sides use seq 0 and Shard::flows stays
+  /// untouched, keeping matching state bounded by what is in flight
+  /// rather than by the number of collectives ever run.  irecv asserts
+  /// the one-pair contract instead of trusting it.
+  [[nodiscard]] static constexpr bool coll_seq_free(Tag tag) noexcept {
+    return tag >= kCollTagBase && tag < kRpcTagBase;
+  }
+
   /// Reserve `count` consecutive tags from the collective band.  Every
   /// rank allocates blocks in the same order with the same sizes (MPI
   /// collective-ordering semantics), so the cursors advance in lockstep

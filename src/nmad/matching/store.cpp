@@ -81,6 +81,9 @@ void Store::bind_metrics(MetricsRegistry& registry,
       return static_cast<double>(sh->unexpected.size() +
                                  sh->unexpected_rts.size());
     });
+    registry.bind_gauge(p + "/flows", [sh] {
+      return static_cast<double>(sh->flows.size());
+    });
   }
 }
 

@@ -88,7 +88,9 @@ struct ShardStats {
 struct Shard {
   /// Per-(peer, tag) sequence cursors.  64-bit so the exhaustion check is
   /// exact: the wire Seq is 32-bit and silent wrap would alias a live
-  /// message still in the posted/unexpected tables.
+  /// message still in the posted/unexpected tables.  Entries are never
+  /// erased, so Core keeps collective-band tags (one matched pair each)
+  /// out of this table altogether: see Core::coll_seq_free.
   struct Flow {
     std::uint64_t send_next = 0;
     std::uint64_t recv_next = 0;
@@ -190,8 +192,9 @@ class Store {
   /// a popped entry always refers to a message still in the store.
   [[nodiscard]] std::optional<std::pair<unsigned, Tag>> pop_rpc_pending();
 
-  /// Bind per-shard counters and pending gauges under
-  /// "<prefix>/shard<s>/..." (prefix is the node's "nodeN/nm").
+  /// Bind per-shard counters, the pending gauges and the live sequence
+  /// cursor count ("flows") under "<prefix>/shard<s>/..." (prefix is the
+  /// node's "nodeN/nm").
   void bind_metrics(MetricsRegistry& registry, std::string_view prefix) const;
 
  private:

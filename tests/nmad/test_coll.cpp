@@ -73,6 +73,47 @@ class CollWorld : public ::testing::TestWithParam<Param> {
   }
 };
 
+// ------------------------------------------------------------- Schedule
+
+// seal() lays successors out by predecessor in dep() order, which is the
+// order op_done() marks them ready: with dep(0,3), dep(1,2), dep(0,2) and
+// op 1 already done, completing op 0 readies 3 and then 2.
+TEST(Schedule, SuccessorsKeepDepOrder) {
+  Schedule s;
+  for (int i = 0; i < 4; ++i) s.copy({}, {}, 0);
+  s.dep(0, 3);
+  s.dep(1, 2);
+  s.dep(0, 2);
+  s.seal();
+  using V = std::vector<std::uint32_t>;
+  const auto succ = [&s](std::uint32_t i) {
+    const auto sp = s.successors(i);
+    return V(sp.begin(), sp.end());
+  };
+  EXPECT_EQ(succ(0), (V{3, 2}));
+  EXPECT_EQ(succ(1), (V{2}));
+  EXPECT_TRUE(succ(2).empty());
+  EXPECT_TRUE(succ(3).empty());
+
+  V ready;
+  const auto complete = [&](std::uint32_t i) {
+    for (const std::uint32_t n : s.successors(i)) {
+      if (--s.ops[n].deps == 0) ready.push_back(n);
+    }
+  };
+  complete(1);
+  EXPECT_TRUE(ready.empty());
+  complete(0);
+  EXPECT_EQ(ready, (V{3, 2}));
+
+  // A cleared schedule starts empty and seals again.
+  s.clear();
+  EXPECT_TRUE(s.ops.empty());
+  s.copy({}, {}, 0);
+  s.seal();
+  EXPECT_TRUE(s.successors(0).empty());
+}
+
 // ------------------------------------------------------------- ibarrier
 
 TEST_P(CollWorld, BarrierRepeats) {
@@ -268,6 +309,55 @@ TEST_P(CollWorld, TestPollsToCompletion) {
       marcel::this_thread::compute(5 * kUs);
     }
   });
+}
+
+// ------------------------------------------------------- request pooling
+
+// One pooled CollRequest carries three differently shaped schedules in a
+// row; its warm op, edge and successor buffers must not leak state from
+// one schedule into the next.
+TEST(CollPool, OneRequestReusedAcrossSchedulesStaysCorrect) {
+  constexpr unsigned kWorld = 8;
+  constexpr std::size_t kElems = 24;
+  for (const bool pioman : {false, true}) {
+    ClusterConfig cfg;
+    cfg.nodes = kWorld;
+    cfg.cpus_per_node = 4;
+    cfg.pioman = pioman;
+    Cluster cluster(cfg);
+    std::vector<std::vector<double>> rd(kWorld), ring(kWorld);
+    std::vector<std::vector<CollRequest*>> used(kWorld);
+    for (unsigned r = 0; r < kWorld; ++r) {
+      rd[r].assign(kElems, static_cast<double>(r + 1));
+      ring[r].assign(kElems, static_cast<double>(2 * r));
+      cluster.run_on(r, [&, r] {
+        Engine& coll = cluster.coll(r);
+        CollRequest* a = coll.iallreduce_sum(rd[r], Algo::kRecursiveDoubling);
+        used[r].push_back(a);
+        coll.wait(a);
+        CollRequest* b = coll.ibarrier();
+        used[r].push_back(b);
+        coll.wait(b);
+        CollRequest* c = coll.iallreduce_sum(ring[r], Algo::kRing);
+        used[r].push_back(c);
+        coll.wait(c);
+      }, "rank");
+    }
+    cluster.run();
+    for (unsigned r = 0; r < kWorld; ++r) {
+      ASSERT_EQ(used[r].size(), 3u);
+      EXPECT_EQ(used[r][1], used[r][0]) << "rank " << r << " pioman " << pioman;
+      EXPECT_EQ(used[r][2], used[r][0]) << "rank " << r << " pioman " << pioman;
+      for (std::size_t k = 0; k < kElems; ++k) {
+        EXPECT_EQ(rd[r][k], 36.0) << "rank " << r << " elem " << k;
+        EXPECT_EQ(ring[r][k], 56.0) << "rank " << r << " elem " << k;
+      }
+      const Engine::Stats& st = cluster.coll(r).stats();
+      EXPECT_EQ(st.completed, 3u);
+      EXPECT_EQ(st.algo_recursive_doubling, 1u);
+      EXPECT_EQ(st.algo_ring, 1u);
+    }
+  }
 }
 
 // --------------------------------------------------------------- overlap

@@ -1,7 +1,8 @@
 // Sharded tag-matching (src/nmad/matching): concurrent injection across
 // shards and within one shard, per-shard conservation laws, schedule-fuzz
 // and lockdep sweeps over the shard locks, the sequence-space wrap guard,
-// and the purge-at-match contract of the RPC pending queue.
+// the purge-at-match contract of the RPC pending queue, and bounded
+// cursor state: collective-band tags never allocate a flow cursor.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "marcel/lockdep.hpp"
+#include "nmad/coll/coll.hpp"
 #include "nmad/matching/store.hpp"
 #include "pm2/cluster.hpp"
 
@@ -321,6 +323,116 @@ TEST(RpcPending, RemainingEntriesStayConsistent) {
   cluster.run();
   EXPECT_EQ(rx[0], tx);
   EXPECT_EQ(rx[1], tx);
+}
+
+// Live (peer, tag) sequence cursors on `node`, summed over its shards from
+// the nodeN/nm/shardS/flows gauges — and cross-checked against the store.
+double flows_on(Cluster& cluster, unsigned node) {
+  const matching::Store& st = cluster.comm(node).match_store();
+  double gauge = 0;
+  std::size_t direct = 0;
+  for (unsigned s = 0; s < st.shard_count(); ++s) {
+    gauge += cluster.metrics().value("node" + std::to_string(node) +
+                                     "/nm/shard" + std::to_string(s) +
+                                     "/flows");
+    direct += st.shard(s).flows.size();
+  }
+  EXPECT_EQ(gauge, static_cast<double>(direct)) << "node " << node;
+  return gauge;
+}
+
+class BoundedFlows : public ::testing::TestWithParam<bool /*pioman*/> {};
+
+// Every collective op gets a fresh coll-band tag; none of them may leave a
+// sequence cursor behind, so matching state does not grow with the number
+// of collectives run: 5 rounds and 50 rounds end at the same (zero) count.
+TEST_P(BoundedFlows, CollectivesLeaveNoCursors) {
+  constexpr unsigned kNodes = 4;
+  const auto run = [&](int rounds) {
+    ClusterConfig cfg;
+    cfg.nodes = kNodes;
+    cfg.cpus_per_node = 4;
+    cfg.pioman = GetParam();
+    Cluster cluster(cfg);
+    for (unsigned r = 0; r < kNodes; ++r) {
+      cluster.run_on(r, [&cluster, r, rounds] {
+        coll::Engine& coll = cluster.coll(r);
+        std::vector<double> v(16);
+        for (int i = 0; i < rounds; ++i) {
+          for (std::size_t k = 0; k < v.size(); ++k) {
+            v[k] = static_cast<double>(r + k + i);
+          }
+          coll.wait(coll.iallreduce_sum(v));
+          for (std::size_t k = 0; k < v.size(); ++k) {
+            EXPECT_EQ(v[k], static_cast<double>(6 + 4 * (k + i)));
+          }
+          coll.wait(coll.ibarrier());
+        }
+      });
+    }
+    cluster.run();
+    EXPECT_GT(cluster.comm(0).coll_tags_used(), 0u);
+    double flows = 0;
+    for (unsigned r = 0; r < kNodes; ++r) flows += flows_on(cluster, r);
+    return flows;
+  };
+  const double after5 = run(5);
+  const double after50 = run(50);
+  EXPECT_EQ(after5, after50);
+  EXPECT_EQ(after5, 0.0);
+}
+
+// User tags keep their cursors: a stream on one (peer, tag) holds exactly
+// one entry per side, however long it runs.
+TEST_P(BoundedFlows, UserFlowKeepsOneCursorPerSide) {
+  ClusterConfig cfg = make_cfg(GetParam(), /*sharded=*/true);
+  Cluster cluster(cfg);
+  constexpr Tag kTag = 7;
+  constexpr int kMsgs = 20;
+  static std::vector<std::byte> tx;
+  static std::vector<std::byte> rx;
+  tx = pattern(256);
+  rx.assign(256, std::byte{});
+  cluster.run_on(0, [&cluster] {
+    for (int i = 0; i < kMsgs; ++i) {
+      cluster.comm(0).wait(cluster.comm(0).isend(1, kTag, tx));
+    }
+  });
+  cluster.run_on(1, [&cluster] {
+    for (int i = 0; i < kMsgs; ++i) {
+      cluster.comm(1).wait(cluster.comm(1).irecv(0, kTag, rx));
+    }
+  });
+  cluster.run();
+  EXPECT_EQ(rx, tx);
+  EXPECT_EQ(flows_on(cluster, 0), 1.0);
+  EXPECT_EQ(flows_on(cluster, 1), 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, BoundedFlows, ::testing::Bool(),
+                         [](const auto& param) {
+                           return param.param ? "Pioman" : "AppDriven";
+                         });
+
+// A coll-band tag carries exactly one matched pair, so both of these
+// receives get seq 0: the second must abort instead of overwriting the
+// first in the posted table and leaving it to hang.
+TEST(CollTagDeathTest, TwoPostedReceivesOnOneCollTagAbort) {
+  for (const bool sharded : {false, true}) {
+    Cluster cluster(make_cfg(/*pioman=*/false, sharded));
+    static std::vector<std::byte> rx;
+    rx.assign(2 * 64, std::byte{});
+    cluster.run_on(1, [&cluster] {
+      constexpr Tag kTag = Core::kCollTagBase + 5;
+      std::span<std::byte> buf(rx);
+      Request* a = cluster.comm(1).irecv(0, kTag, buf.first(64));
+      Request* b = cluster.comm(1).irecv(0, kTag, buf.last(64));
+      cluster.comm(1).wait(a);
+      cluster.comm(1).wait(b);
+    });
+    EXPECT_DEATH(cluster.run(),
+                 "two posted receives share one");
+  }
 }
 
 }  // namespace

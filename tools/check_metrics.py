@@ -37,7 +37,9 @@ conservation laws (src/nmad/matching): on every shard the posted receives
 split exactly into matched and still-pending, arrivals split into matched
 and buffered, buffered messages into claimed and still-unexpected, and
 matches into match-on-arrival plus claim-from-buffer; summed over a
-node's shards, the posted receives equal the node's nm/recvs counter.
+node's shards, the posted receives equal the node's nm/recvs counter; and
+every shard reports its live sequence-cursor count (the flows gauge) as a
+non-negative integer.
 With --expect-spans, additionally validates the causal-tracing section:
 every opened span closed, every parent_span_id resolves inside its own
 trace, span trees are acyclic with a single root, each tail exemplar's
@@ -352,6 +354,11 @@ def check_shards(path: str, doc: dict) -> None:
                 if not isinstance(v, (int, float)) or v < 0:
                     fail(f"{path}: gauge {pfx}/{req} absent or negative")
                 g[req] = round(v)
+            flows = gauges.get(f"{pfx}/flows")
+            if (not isinstance(flows, (int, float)) or flows < 0
+                    or flows != int(flows)):
+                fail(f"{path}: gauge {pfx}/flows absent or not a "
+                     f"non-negative integer")
             laws = (
                 ("recvs_posted == recvs_matched + posted_pending",
                  c["recvs_posted"], c["recvs_matched"] + g["posted_pending"]),
