@@ -13,6 +13,7 @@
 #include "marcel/lock_profile.hpp"
 #include "nmad/reliable.hpp"
 #include "pm2/attribution.hpp"
+#include "sim/fiber.hpp"
 #include "sim/schedule_fuzz.hpp"
 #include "sim/trace.hpp"
 
@@ -288,6 +289,14 @@ void Cluster::bind_all_metrics() {
   if (fabric_->faults() != nullptr) {
     fabric_->faults()->bind_metrics(metrics_, "fabric/faults");
   }
+  // Host-thread fiber stacks (live + recycled), read on the thread that
+  // exports the registry — the one running this cluster.
+  metrics_.bind_gauge("sim/fiber_stacks/mapped", [] {
+    return static_cast<double>(sim::Fiber::stacks_mapped());
+  });
+  metrics_.bind_gauge("sim/fiber_stacks/pooled", [] {
+    return static_cast<double>(sim::Fiber::stacks_pooled());
+  });
 }
 
 bool Cluster::write_metrics_json(const std::string& path) {

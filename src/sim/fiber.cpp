@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -21,6 +22,7 @@
 #endif
 
 #if defined(PM2_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -36,6 +38,75 @@ std::size_t page_size() noexcept {
 
 std::size_t round_up(std::size_t n, std::size_t align) noexcept {
   return (n + align - 1) & ~(align - 1);
+}
+
+// Stack recycling.  A destroyed fiber's mapping — guard page still
+// PROT_NONE — goes on a per-host-thread free list keyed by mapping size,
+// and the next same-size fiber takes it instead of paying mmap + mprotect
+// + first-touch faults + munmap.  The list only ever holds stacks that
+// were live at once, so it never exceeds the peak number of live fibers.
+//
+// Teardown order: a thread's thread_local destructors run before static
+// destructors (and a worker thread's pool dies with the thread), yet a
+// Fiber owned by a static or outliving object may be destroyed after
+// that.  The pool's destructor unmaps what it holds and raises
+// t_pool_gone; both t_pool_gone and t_mapped are trivially destructible,
+// so they stay readable afterwards and later fibers munmap directly.
+thread_local bool t_pool_gone = false;
+thread_local std::size_t t_mapped = 0;  // live + pooled mappings
+
+struct StackPool {
+  struct Bucket {
+    std::size_t alloc_size;
+    std::vector<void*> stacks;
+  };
+  std::vector<Bucket> buckets;  // one per distinct mapping size seen
+
+  std::vector<void*>& bucket(std::size_t alloc_size) {
+    for (Bucket& b : buckets) {
+      if (b.alloc_size == alloc_size) return b.stacks;
+    }
+    return buckets.emplace_back(Bucket{alloc_size, {}}).stacks;
+  }
+
+  ~StackPool() {
+    for (Bucket& b : buckets) {
+      for (void* mem : b.stacks) ::munmap(mem, b.alloc_size);
+      t_mapped -= b.stacks.size();
+    }
+    t_pool_gone = true;
+  }
+};
+
+StackPool& stack_pool() {
+  thread_local StackPool pool;
+  return pool;
+}
+
+void* acquire_stack(std::size_t alloc_size) {
+  if (!t_pool_gone) {
+    std::vector<void*>& stacks = stack_pool().bucket(alloc_size);
+    if (!stacks.empty()) {
+      void* mem = stacks.back();
+      stacks.pop_back();
+      return mem;
+    }
+  }
+  void* mem = ::mmap(nullptr, alloc_size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  PM2_ASSERT_MSG(mem != MAP_FAILED, "fiber stack mmap failed");
+  PM2_ASSERT(::mprotect(mem, page_size(), PROT_NONE) == 0);
+  ++t_mapped;
+  return mem;
+}
+
+void release_stack(void* mem, std::size_t alloc_size) {
+  if (!t_pool_gone) {
+    stack_pool().bucket(alloc_size).push_back(mem);
+    return;
+  }
+  ::munmap(mem, alloc_size);
+  --t_mapped;
 }
 
 }  // namespace
@@ -119,11 +190,14 @@ Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
   const std::size_t ps = page_size();
   stack_size_ = round_up(stack_bytes, ps);
   alloc_size_ = stack_size_ + ps;  // one guard page at the low end
-  void* mem = ::mmap(nullptr, alloc_size_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  PM2_ASSERT_MSG(mem != MAP_FAILED, "fiber stack mmap failed");
+  void* mem = acquire_stack(alloc_size_);
   stack_base_ = mem;
-  PM2_ASSERT(::mprotect(mem, ps, PROT_NONE) == 0);
+#if defined(PM2_ASAN_FIBERS)
+  // A recycled stack still carries the redzones of its previous owner's
+  // frames (left behind by a fiber destroyed while suspended, or parked
+  // in suspend() after finishing); clear them before reuse.
+  ASAN_UNPOISON_MEMORY_REGION(static_cast<char*>(mem) + ps, stack_size_);
+#endif
 
 #if defined(__x86_64__)
   // Build the initial frame that pm2_ctx_switch will unwind on first resume.
@@ -155,7 +229,7 @@ Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
 
 Fiber::~Fiber() {
   PM2_ASSERT_MSG(!running_, "destroying a running fiber");
-  if (stack_base_ != nullptr) ::munmap(stack_base_, alloc_size_);
+  if (stack_base_ != nullptr) release_stack(stack_base_, alloc_size_);
 }
 
 void Fiber::resume() {
@@ -200,5 +274,17 @@ void Fiber::suspend() {
 }
 
 Fiber* Fiber::current() noexcept { return t_current; }
+
+std::size_t Fiber::stacks_mapped() noexcept { return t_mapped; }
+
+std::size_t Fiber::stacks_pooled() noexcept {
+  std::size_t n = 0;
+  if (!t_pool_gone) {
+    for (const StackPool::Bucket& b : stack_pool().buckets) {
+      n += b.stacks.size();
+    }
+  }
+  return n;
+}
 
 }  // namespace pm2::sim

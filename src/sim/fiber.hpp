@@ -6,6 +6,12 @@
 // whoever resumed them.  On x86-64 the switch is a hand-rolled callee-saved
 // register swap (~20 instructions, no syscalls); other platforms fall back
 // to POSIX ucontext.
+//
+// Stacks are mmap'd with a PROT_NONE guard page at the low end.  A
+// destroyed fiber's stack goes on a free list owned by the host thread
+// that destroys it, and the next fiber of the same size on that thread
+// reuses it.  The per-thread stack counts assume a fiber is destroyed on
+// the thread that created it, as every simulator fiber is.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +48,15 @@ class Fiber {
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Approximate high-water mark of stack usage, for diagnostics.
+  /// Usable stack size in bytes (the requested size rounded up to whole
+  /// pages; the guard page is not included).
   [[nodiscard]] std::size_t stack_bytes() const noexcept { return stack_size_; }
+
+  /// Stack mappings this host thread holds: live fibers plus recycled
+  /// stacks waiting in its free list.
+  [[nodiscard]] static std::size_t stacks_mapped() noexcept;
+  /// Recycled stacks in this host thread's free list.
+  [[nodiscard]] static std::size_t stacks_pooled() noexcept;
 
  private:
   static void entry_point(Fiber* self);

@@ -16,6 +16,7 @@
 #include "pm2/cluster.hpp"
 #include "pm2/completion.hpp"
 #include "pm2/rpc.hpp"
+#include "sim/fiber.hpp"
 
 namespace pm2::rpc {
 namespace {
@@ -358,6 +359,42 @@ TEST_P(RpcWorld, MetricsStayConsistent) {
   // every handler execution on node 0 is accounted.
   EXPECT_EQ(h->total(), cluster.rpc(0).stats().handlers_done);
   check_invariants(cluster);
+}
+
+// ------------------------------------------------- recycled fiber stacks
+
+// Runs `calls` sequential RPCs node 0 → node 1 on a 2-node PIOMan cluster
+// (one handler vthread each) and returns this thread's stack mappings.
+std::size_t stacks_after_sequential_rpcs(unsigned calls) {
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.cpus_per_node = 4;
+  cfg.pioman = true;
+  cfg.rpc = true;
+  Cluster cluster(cfg);
+  cluster.rpc(1).register_service(kTouch, [](Context& ctx) {
+    ctx.engine().signal(ctx.args().completion());
+  });
+  cluster.run_on(0, [&] {
+    Engine& eng = cluster.rpc(0);
+    for (unsigned i = 0; i < calls; ++i) {
+      Completion c(eng);
+      eng.call(1, kTouch, [&](ArgWriter& w) { w.completion(c.ref()); });
+      c.wait();
+    }
+  });
+  cluster.run();
+  EXPECT_EQ(cluster.rpc(1).stats().handlers_done, calls);
+  EXPECT_GT(sim::Fiber::stacks_pooled(), 0u);
+  EXPECT_LE(sim::Fiber::stacks_pooled(), sim::Fiber::stacks_mapped());
+  return sim::Fiber::stacks_mapped();
+}
+
+TEST(RpcFiberStacks, BoundedByLiveHandlersNotRequests) {
+  const std::size_t after_50 = stacks_after_sequential_rpcs(50);
+  const std::size_t after_500 = stacks_after_sequential_rpcs(500);
+  EXPECT_EQ(after_500, after_50);
+  EXPECT_LT(after_50, 50u);
 }
 
 // ------------------------------------------------------ tag-band fencing

@@ -24,7 +24,11 @@ five time-in-state counters sum exactly to the simulated time.  With
 its work: globally every issued call was dispatched exactly once and
 every signal sent was delivered; per node every dispatch spawned a
 handler that finished, every completion was satisfied, nothing is left
-queued, and the handler-latency histogram accounts for every handler.
+queued, and the handler-latency histogram accounts for every handler;
+the host thread's fiber-stack gauges (sim/fiber_stacks/mapped and
+pooled) are non-negative integers with pooled <= mapped, and once more
+than 1000 handlers were spawned fewer stacks are mapped than were
+spawned (the stack count is bounded by live fibers, not by requests).
 With --expect-rma, additionally asserts the one-sided conservation laws
 (src/nmad/rma): per node the eager/rendezvous split accounts for every
 put issued, every opened epoch closed, no wire op was dropped as
@@ -260,8 +264,24 @@ def check_rpc(path: str, doc: dict) -> None:
         fail(f"{path}: {issued} RPCs issued but {dispatched} dispatched")
     if sig_sent != sig_delivered:
         fail(f"{path}: {sig_sent} signals sent but {sig_delivered} delivered")
+    stacks = {}
+    for kind in ("mapped", "pooled"):
+        v = gauges.get(f"sim/fiber_stacks/{kind}")
+        if not isinstance(v, (int, float)) or v < 0 or v != int(v):
+            fail(f"{path}: gauge sim/fiber_stacks/{kind} absent or not a "
+                 f"non-negative integer ({v!r})")
+        stacks[kind] = int(v)
+    if stacks["pooled"] > stacks["mapped"]:
+        fail(f"{path}: {stacks['pooled']} fiber stacks pooled but only "
+             f"{stacks['mapped']} mapped")
+    spawns = sum(counters[f"{node}/rpc/handler_spawns"] for node in nodes)
+    if spawns > 1000 and stacks["mapped"] >= spawns:
+        fail(f"{path}: {stacks['mapped']} fiber stacks mapped for {spawns} "
+             f"handler spawns (stack count grows with requests)")
     print(f"check_metrics: {path}: rpc ok ({issued} calls dispatched, "
-          f"{sig_sent} signals delivered on {len(nodes)} nodes)")
+          f"{sig_sent} signals delivered on {len(nodes)} nodes; "
+          f"{stacks['mapped']} fiber stacks mapped, {stacks['pooled']} "
+          f"pooled, for {spawns} handler spawns)")
 
 
 def check_rma(path: str, doc: dict) -> None:
