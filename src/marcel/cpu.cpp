@@ -17,6 +17,12 @@ namespace {
 thread_local Cpu* t_cpu = nullptr;
 thread_local Thread* t_thread = nullptr;
 
+/// sim::Timer entry point running member `M` of the Cpu passed as context.
+template <void (Cpu::*M)()>
+void call(void* cpu) {
+  (static_cast<Cpu*>(cpu)->*M)();
+}
+
 }  // namespace
 
 namespace detail {
@@ -40,14 +46,29 @@ Cpu::Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine)
       index_(index),
       cfg_(cfg),
       engine_(engine),
-      service_fiber_([this] { service_body(); }, cfg.stack_bytes) {}
+      service_fiber_([this] { service_body(); }, cfg.stack_bytes),
+      dispatch_timer_(&call<&Cpu::dispatch>, this),
+      resume_timer_(&call<&Cpu::run_occupant>, this),
+      switch_timer_(&call<&Cpu::run_occupant>, this),
+      granule_timer_(&call<&Cpu::end_spin_granule>, this,
+                     sim::TimerQueue::kSide),
+      tick_timer_(&call<&Cpu::on_tick>, this),
+      deadline_timer_(&call<&Cpu::spin_wake>, this) {}
+
+Cpu::~Cpu() {
+  // The engine may outlive the core: leave no key that calls back into it.
+  for (sim::Timer* t : {&dispatch_timer_, &resume_timer_, &switch_timer_,
+                        &granule_timer_, &tick_timer_, &deadline_timer_}) {
+    engine_.release(*t);
+  }
+}
 
 // ---------------------------------------------------------------- enqueue
 
 void Cpu::enqueue(Thread& t, bool front) {
   PM2_ASSERT(t.state_ != ThreadState::kFinished);
   PM2_ASSERT_MSG(!t.rq_hook.is_linked(), "thread already on a runqueue");
-  const bool was_halted = !busy() && !dispatch_pending_;
+  const bool was_halted = !busy() && !dispatch_timer_.armed();
   resume_tick();
   t.state_ = ThreadState::kReady;
   t.last_cpu_ = this;
@@ -71,7 +92,7 @@ void Cpu::enqueue(Thread& t, bool front) {
 }
 
 void Cpu::tasklet_enqueue(Tasklet& t) {
-  const bool was_halted = !busy() && !dispatch_pending_;
+  const bool was_halted = !busy() && !dispatch_timer_.armed();
   resume_tick();
   tasklets_.push_back(t);
   note_new_work();
@@ -91,16 +112,12 @@ void Cpu::kick(SimDuration delay) {
     delay = fz->perturb_delay(delay);  // fuzz wakeup/IPI delivery timing
   }
   const SimTime when = engine_.now() + delay;
-  if (dispatch_pending_) {
+  if (dispatch_timer_.armed()) {
     if (when >= dispatch_time_) return;
-    engine_.cancel(dispatch_event_);
+    engine_.disarm(dispatch_timer_);
   }
-  dispatch_pending_ = true;
   dispatch_time_ = when;
-  dispatch_event_ = engine_.schedule_at(when, [this] {
-    dispatch_pending_ = false;
-    dispatch();
-  });
+  engine_.arm(dispatch_timer_, when);
 }
 
 void Cpu::request_resched(bool hard) {
@@ -111,16 +128,16 @@ void Cpu::request_resched(bool hard) {
       return;
     }
     // Cut the parked spin short, exactly as below for a compute chunk.
-    if (resume_event_ != sim::kInvalidEventId) engine_.cancel(resume_event_);
-    resume_event_ = engine_.schedule_now([this] { run_occupant(); });
+    engine_.disarm(resume_timer_);
+    engine_.arm(resume_timer_, engine_.now());
     return;
   }
-  if (hard && busy() && resume_event_ != sim::kInvalidEventId) {
-    // Cut the in-flight compute chunk short: resume the occupant now so it
-    // reaches its preemption point immediately.
-    engine_.cancel(resume_event_);
-    resume_event_ = sim::kInvalidEventId;
-    engine_.schedule_now([this] { run_occupant(); });
+  if (hard && busy() && (resume_timer_.armed() || granule_timer_.armed())) {
+    // Cut the in-flight compute chunk or spin granule short: resume the
+    // occupant now so it reaches its preemption point immediately.
+    engine_.disarm(resume_timer_);
+    engine_.disarm(granule_timer_);
+    engine_.arm(switch_timer_, engine_.now());
   }
 }
 
@@ -211,28 +228,22 @@ void Cpu::begin_run(Occupant what, Thread* t) {
   }
   node_.run_switch_hooks(*this);
   arm_tick();
-  if (cfg_.ctx_switch_cost > 0) {
-    charge(cfg_.ctx_switch_cost);
-    engine_.schedule_after(cfg_.ctx_switch_cost, [this] { run_occupant(); });
-  } else {
-    engine_.schedule_now([this] { run_occupant(); });
-  }
+  charge(cfg_.ctx_switch_cost);
+  engine_.arm_after(switch_timer_, cfg_.ctx_switch_cost);
 }
 
 void Cpu::run_occupant() {
   PM2_ASSERT(occ_ != Occupant::kNone);
-  resume_event_ = sim::kInvalidEventId;
   // Whatever this fiber does may be what a sibling's spinner polls for.
   if (node_.spinners_ != 0) node_.wake_spinners(this);
   resume_occupant();
 }
 
 void Cpu::end_spin_granule() {
-  // The resume event of a spin_chunk() granule.  The stepped loop would
-  // resume the fiber here, charge the granule, find the word still set and
-  // schedule the next granule from compute_chunk(); doing those same steps
-  // in engine context leaves every event and schedule point unchanged.
-  resume_event_ = sim::kInvalidEventId;
+  // The end of a spin_chunk() granule.  The stepped loop would resume the
+  // fiber here, charge the granule, find the word still set and schedule
+  // the next granule from compute_chunk(); doing those same steps in
+  // engine context draws every key at the same time and schedule point.
   if (node_.spinners_ != 0) node_.wake_spinners(this);
   if (*granule_word_ != nullptr && !preemption_due() &&
       engine_.fuzzer() == nullptr) {
@@ -240,8 +251,7 @@ void Cpu::end_spin_granule() {
     ++stats_.spin_granules;
     chunk_start_ = engine_.now();
     chunk_len_ = granule_step_;
-    resume_event_ =
-        engine_.schedule_after(chunk_len_, [this] { end_spin_granule(); });
+    engine_.arm_after(granule_timer_, chunk_len_);
     return;
   }
   resume_occupant();
@@ -342,19 +352,12 @@ void Cpu::trace_occupancy_end() {
 // ---------------------------------------------------------------- timing
 
 void Cpu::arm_tick() {
-  if (tick_event_ != sim::kInvalidEventId || cfg_.timer_tick == 0) return;
+  if (tick_timer_.armed() || cfg_.timer_tick == 0) return;
   SimDuration period = cfg_.timer_tick;
   if (sim::ScheduleFuzzer* fz = engine_.fuzzer()) {
     period = fz->perturb_tick(period);  // fuzz the tick phase
   }
-  schedule_tick(engine_.now() + period);
-}
-
-void Cpu::schedule_tick(SimTime when) {
-  tick_event_ = engine_.schedule_at(when, [this] {
-    tick_event_ = sim::kInvalidEventId;
-    on_tick();
-  });
+  engine_.arm_after(tick_timer_, period);
 }
 
 void Cpu::resume_tick() {
@@ -364,7 +367,8 @@ void Cpu::resume_tick() {
   // falls on this very instant is taken to have run already.
   const SimDuration period = cfg_.timer_tick;
   const SimTime now = engine_.now();
-  schedule_tick(tick_phase_ + ((now - tick_phase_) / period + 1) * period);
+  engine_.arm(tick_timer_,
+              tick_phase_ + ((now - tick_phase_) / period + 1) * period);
 }
 
 void Cpu::on_tick() {
@@ -407,7 +411,7 @@ SimDuration Cpu::compute_chunk(SimDuration d) {
     chunk = fz->perturb_chunk(chunk);  // extra preemption points
   }
   chunk_start_ = engine_.now();
-  resume_event_ = engine_.schedule_after(chunk, [this] { run_occupant(); });
+  engine_.arm_after(resume_timer_, chunk);
   suspend_current(SuspendReason::kCompute);
   // Resumed — possibly early if a hard preemption cut the chunk short.
   const SimDuration elapsed =
@@ -434,7 +438,7 @@ SimDuration Cpu::spin_chunk(SimDuration d, SimDuration step,
   chunk_len_ = d;
   granule_word_ = word;
   granule_step_ = step;
-  resume_event_ = engine_.schedule_after(d, [this] { end_spin_granule(); });
+  engine_.arm_after(granule_timer_, d);
   suspend_current(SuspendReason::kCompute);
   granule_word_ = nullptr;
   // Resumed at the end of the last granule armed, or inside it by a hard
@@ -464,18 +468,12 @@ void Cpu::spin_wait(SimDuration step, SimTime deadline) {
     // the caller polls there and its last step is a plain compute chunk,
     // resuming on the deadline boundary just as the stepped loop would.
     const SimDuration steps = (deadline - now + step - 1) / step;
-    spin_timer_ = engine_.schedule_at(now + (steps - 1) * step, [this] {
-      spin_timer_ = sim::kInvalidEventId;
-      spin_wake();
-    });
+    engine_.arm(deadline_timer_, now + (steps - 1) * step);
   }
   suspend_current(SuspendReason::kCompute);
   spin_parked_ = false;
   --node_.spinners_;
-  if (spin_timer_ != sim::kInvalidEventId) {
-    engine_.cancel(spin_timer_);
-    spin_timer_ = sim::kInvalidEventId;
-  }
+  engine_.disarm(deadline_timer_);
   resume_tick();
   // Resumed on a boundary (a wake), or mid-step (a hard preemption).
   const SimDuration elapsed = engine_.now() - spin_t0_;
@@ -487,12 +485,11 @@ void Cpu::spin_wait(SimDuration step, SimTime deadline) {
 }
 
 void Cpu::spin_wake() {
-  if (!spin_parked_ || resume_event_ != sim::kInvalidEventId) return;
+  if (!spin_parked_ || resume_timer_.armed()) return;
   const SimDuration since = engine_.now() - spin_t0_;
   const SimDuration steps =
       std::max<SimDuration>(1, (since + spin_step_ - 1) / spin_step_);
-  resume_event_ = engine_.schedule_at(spin_t0_ + steps * spin_step_,
-                                      [this] { run_occupant(); });
+  engine_.arm(resume_timer_, spin_t0_ + steps * spin_step_);
 }
 
 void Cpu::yield_current() {
@@ -627,6 +624,7 @@ void Cpu::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/dispatches", &stats_.dispatches);
   registry.bind_counter(p + "/spin_parks", &stats_.spin_parks);
   registry.bind_counter(p + "/polls_elided", &stats_.polls_elided);
+  registry.bind_counter(p + "/spin_granules", &stats_.spin_granules);
   for (std::size_t i = 0; i < kNumCoreStates; ++i) {
     registry.bind_counter(
         p + "/state/" + core_state_name(static_cast<CoreState>(i)) + "_ns",

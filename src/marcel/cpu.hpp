@@ -53,6 +53,7 @@ inline constexpr std::size_t kNumCoreStates = 5;
 class Cpu {
  public:
   Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine);
+  ~Cpu();
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -117,10 +118,11 @@ class Cpu {
 
   /// compute_chunk() for a busy-wait on a lock word, in `step` granules:
   /// `d` is what is left of the current granule.  The virtual-time outcome
-  /// is that of looping `while (*word) compute(step)`, with the same events
-  /// at the same schedule points; only the fiber switches are skipped.
-  /// While a granule ends with `*word` still set and no preemption due, its
-  /// resume event charges it and re-arms the next one in engine context;
+  /// is that of looping `while (*word) compute(step)`: each granule end
+  /// draws its (time, seq) key where the stepped loop's resume event would,
+  /// but runs from the engine's side list, not its heap, and the fiber
+  /// switches are skipped.  While a granule ends with `*word` still set and
+  /// no preemption due, it charges the granule and re-arms the next one;
   /// the fiber resumes (and re-checks the word) once the word clears, a
   /// preemption is due, or a hard resched cuts the granule.  Falls back to
   /// compute_chunk() under the schedule fuzzer or when `step` exceeds the
@@ -207,9 +209,8 @@ class Cpu {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Bind every counter above but `spin_granules` (read by tests only)
-  /// into `registry` under `prefix` (e.g. "node0/cpu3").  SimDuration
-  /// fields export as nanosecond counters.
+  /// Bind every counter above into `registry` under `prefix` (e.g.
+  /// "node0/cpu3").  SimDuration fields export as nanosecond counters.
   void bind_metrics(MetricsRegistry& registry, std::string_view prefix) const;
 
  private:
@@ -230,7 +231,6 @@ class Cpu {
   Thread* pick_thread();
   Thread* try_steal();
   void arm_tick();
-  void schedule_tick(SimTime when);
   void resume_tick();
   void on_tick();
   void finish_thread(Thread& t);
@@ -269,11 +269,16 @@ class Cpu {
   SimDuration state_ns_[kNumCoreStates] = {};
   std::string state_track_;  // cached "node<i>/cpu<j>/state"
 
-  bool dispatch_pending_ = false;
-  sim::EventId dispatch_event_ = sim::kInvalidEventId;
-  SimTime dispatch_time_ = 0;
+  // The core's six events, each a caller-owned engine timer.  At most one
+  // of resume/switch/granule is armed: the occupant's next resumption.
+  sim::Timer dispatch_timer_;  // dispatch() after a kick
+  sim::Timer resume_timer_;    // compute-chunk end, spin_wait() wake
+  sim::Timer switch_timer_;    // context-switch end, hard-cut resume
+  sim::Timer granule_timer_;   // spin_chunk() granule end (side list)
+  sim::Timer tick_timer_;      // timer tick
+  sim::Timer deadline_timer_;  // spin_wait() deadline wake
+  SimTime dispatch_time_ = 0;  // unperturbed time of the armed dispatch
 
-  sim::EventId resume_event_ = sim::kInvalidEventId;
   SimTime chunk_start_ = 0;
   SimDuration chunk_len_ = 0;
   // spin_chunk() state: the lock word spun on (null otherwise) and the
@@ -281,8 +286,6 @@ class Cpu {
   const void* const* granule_word_ = nullptr;
   SimDuration granule_step_ = 0;
   SimTime slice_start_ = 0;
-
-  sim::EventId tick_event_ = sim::kInvalidEventId;
 
   // Tracing: label of the current occupancy span (set in begin_run).
   std::string occ_label_;
@@ -299,7 +302,6 @@ class Cpu {
   bool spin_parked_ = false;
   SimTime spin_t0_ = 0;
   SimDuration spin_step_ = 0;
-  sim::EventId spin_timer_ = sim::kInvalidEventId;  // deadline wake
 };
 
 namespace detail {

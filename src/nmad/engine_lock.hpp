@@ -10,8 +10,9 @@
 //    engine, e.g. isend -> flush_gate), so acquisition is reentrant;
 //  - a contended acquire spins in `spin` granules of virtual CPU time
 //    until the holder releases, making contention visible in sim-time
-//    (granules that find the lock still held cost one event each but no
-//    fiber switch: marcel::this_thread::spin_granule);
+//    (granules that find the lock still held cost no fiber switch and no
+//    heap event: they run from the engine's side list of timers, see
+//    marcel::this_thread::spin_granule);
 //  - while held, preemption of the holder is disabled on its core — a
 //    holder parked on a runqueue behind a fiber spinning on this very
 //    lock would otherwise livelock the virtual machine;

@@ -289,6 +289,14 @@ void Cluster::bind_all_metrics() {
   if (fabric_->faults() != nullptr) {
     fabric_->faults()->bind_metrics(metrics_, "fabric/faults");
   }
+  // Events dispatched from the heap and lock-spin granules run from the
+  // engine's side list: together, the stepped event count.
+  metrics_.bind_gauge("sim/events/dispatched", [this] {
+    return static_cast<double>(engine_.events_processed());
+  });
+  metrics_.bind_gauge("sim/events/spin_granules", [this] {
+    return static_cast<double>(engine_.side_processed());
+  });
   // Host-thread fiber stacks (live + recycled), read on the thread that
   // exports the registry — the one running this cluster.
   metrics_.bind_gauge("sim/fiber_stacks/mapped", [] {

@@ -173,6 +173,25 @@ TEST(Observability, EngineLockContentionIsProfiled) {
   EXPECT_NE(format_report(cluster).find("lock: engine"), std::string::npos);
 }
 
+TEST(Observability, EventGaugesSplitTheSteppedEvents) {
+  ClusterConfig cfg;
+  Cluster cluster(cfg);
+  run_pingpong(cluster, 4096, 8);
+  cluster.flush_observability();
+  const MetricsRegistry& m = cluster.metrics();
+  const double dispatched = m.value("sim/events/dispatched");
+  const double granules = m.value("sim/events/spin_granules");
+  EXPECT_EQ(dispatched,
+            static_cast<double>(cluster.engine().events_processed()));
+  EXPECT_EQ(granules, static_cast<double>(cluster.engine().side_processed()));
+  // Contended engine-lock acquires spin; every granule but the last of a
+  // spin is re-armed on its core without a fiber switch.
+  ASSERT_GT(m.sum("node", "/locks/engine/contended"), 0u);
+  const auto rearmed = static_cast<double>(m.sum("node", "/spin_granules"));
+  EXPECT_GT(rearmed, 0.0);
+  EXPECT_LE(rearmed, granules);
+}
+
 TEST(Observability, LockProfileDeterministicUnderFuzzSeed) {
   const auto run_once = [] {
     ClusterConfig cfg;

@@ -81,5 +81,37 @@ TEST(Runtime, ZeroWorkMachineDrains) {
   EXPECT_EQ(eng.now(), 0u);
 }
 
+TEST(Runtime, DestroyedMidComputeLeavesNothingInTheEngine) {
+  // One core mid-compute (its resume and tick timers in the heap), one
+  // spinning on a word that never clears (a granule on the side list):
+  // destroying the runtime must leave no key that calls back into it.
+  sim::Engine eng;
+  Config cfg;
+  cfg.nodes = 1;
+  cfg.cpus_per_node = 2;
+  bool finished = false;
+  const void* word = &word;
+  {
+    Runtime rt(eng, cfg);
+    rt.node(0).spawn([&] {
+      this_thread::compute(100 * kUs);
+      finished = true;
+    }, Priority::kNormal, "computer", 0);
+    rt.node(0).spawn([&] { this_thread::spin_granule(50, &word); },
+                     Priority::kNormal, "spinner", 1);
+    ASSERT_TRUE(eng.run_until(10 * kUs));
+    ASSERT_FALSE(eng.empty());
+    ASSERT_GT(eng.side_processed(), 0u);
+  }
+  const std::uint64_t events = eng.events_processed();
+  const std::uint64_t side = eng.side_processed();
+  EXPECT_TRUE(eng.empty());
+  eng.run();
+  EXPECT_FALSE(finished);
+  EXPECT_EQ(eng.events_processed(), events);
+  EXPECT_EQ(eng.side_processed(), side);
+  EXPECT_EQ(eng.now(), 10 * kUs);
+}
+
 }  // namespace
 }  // namespace pm2::marcel

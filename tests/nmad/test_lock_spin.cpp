@@ -6,7 +6,9 @@
 // Every scenario has one holder on cpu 0 that takes the lock at t=0 and
 // spinners that start spinning at t=1000 ns, so their granule boundaries
 // fall on 1000 + 50k.  Acquisition times and CPU times are worked out by
-// hand from that grid; event counts are those of the stepped loop.
+// hand from that grid.  Granule ends run from the engine's side list, not
+// its heap, so the stepped loop's event count is events_processed() plus
+// side_processed().
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -78,6 +80,11 @@ class Rig {
 
   void run() { eng_.run(); }
 
+  /// Events the stepped loop would have dispatched.
+  [[nodiscard]] std::uint64_t steps() const {
+    return eng_.events_processed() + eng_.side_processed();
+  }
+
   [[nodiscard]] lock_profile::SiteSnapshot site() const {
     for (auto& s : lock_profile::snapshot()) {
       if (s.name == "test/engine") return s;
@@ -123,7 +130,7 @@ TEST(LockSpin, ReleaseBetweenBoundariesIsSeenOnTheNextOne) {
   EXPECT_EQ(site.acq, 2u);
   EXPECT_EQ(site.contended, 1u);
   expect_waits(site, {5050 - kSpinStart});
-  EXPECT_EQ(rig.eng().events_processed(), 91u);
+  EXPECT_EQ(rig.steps(), 91u);
   // 81 granules end at 1050..5050; all but the last re-arm in engine
   // context, and only the last resumes the spinner.
   EXPECT_EQ(rig.spin_granules(), 80u);
@@ -141,7 +148,7 @@ TEST(LockSpin, ReleaseOnABoundaryScheduledEarlierWinsTheTie) {
   EXPECT_EQ(acq, 5000u);
   EXPECT_EQ(s.cpu_time(), 5000u);
   expect_waits(rig.site(), {5000 - kSpinStart});
-  EXPECT_EQ(rig.eng().events_processed(), 90u);
+  EXPECT_EQ(rig.steps(), 90u);
   EXPECT_EQ(rig.spin_granules(), 79u);
 }
 
@@ -157,7 +164,7 @@ TEST(LockSpin, ReleaseOnABoundaryScheduledWithinTheGranuleLosesTheTie) {
   EXPECT_EQ(acq, 5050u);
   EXPECT_EQ(s.cpu_time(), 5050u);
   expect_waits(rig.site(), {5050 - kSpinStart});
-  EXPECT_EQ(rig.eng().events_processed(), 92u);
+  EXPECT_EQ(rig.steps(), 92u);
   EXPECT_EQ(rig.spin_granules(), 80u);
 }
 
@@ -180,8 +187,34 @@ TEST(LockSpin, SamePhaseSpinnersKeepTheirOrder) {
   EXPECT_EQ(site.acq, 3u);
   EXPECT_EQ(site.contended, 2u);
   expect_waits(site, {5050 - kSpinStart, 5200 - kSpinStart});
-  EXPECT_EQ(rig.eng().events_processed(), 181u);
+  EXPECT_EQ(rig.steps(), 181u);
   EXPECT_EQ(rig.spin_granules(), 80u + 83u);
+}
+
+TEST(LockSpin, ReleaseOnTheSecondSpinnersBoundaryAfterOneHeldGranule) {
+  // Same-phase spinners again: the first acquires on the boundary 5050
+  // and holds for one granule.  Its releasing chunk (scheduled at 5050)
+  // and the second's granule ending at 5100 (re-armed at 5050, after it)
+  // tie, and the release wins: the second acquires at 5100.  Waking the
+  // second from unlock() would need that scheduling history.
+  Rig rig(config(3));
+  SimTime acq_a = 0;
+  SimTime acq_b = 0;
+  rig.holder({5010});
+  marcel::Thread& a = rig.spinner(1, &acq_a, kGranule);
+  marcel::Thread& b = rig.spinner(2, &acq_b);
+  rig.run();
+  EXPECT_EQ(acq_a, 5050u);
+  EXPECT_EQ(acq_b, 5100u);
+  EXPECT_EQ(a.cpu_time(), 5050u + kGranule);
+  EXPECT_EQ(b.cpu_time(), 5100u);
+  const auto site = rig.site();
+  EXPECT_EQ(site.acq, 3u);
+  EXPECT_EQ(site.contended, 2u);
+  expect_waits(site, {5050 - kSpinStart, 5100 - kSpinStart});
+  EXPECT_EQ(rig.steps(), 179u);
+  // The first re-arms granules 1050..5000, the second 1050..5050.
+  EXPECT_EQ(rig.spin_granules(), 80u + 81);
 }
 
 TEST(LockSpin, RealtimeWakeCutsAGranuleMidway) {
@@ -206,7 +239,7 @@ TEST(LockSpin, RealtimeWakeCutsAGranuleMidway) {
   // granule, then 2350 -> 5050.
   EXPECT_EQ(s.cpu_time(), 1000u + 1025 + 25 + 2700);
   expect_waits(rig.site(), {5050 - kSpinStart});
-  EXPECT_EQ(rig.eng().events_processed(), 92u);
+  EXPECT_EQ(rig.steps(), 92u);
   // Granules 1050..2000, then the one finishing the cut granule at 2350,
   // then 2400..5000 (the one ending at 5050 resumes the spinner).
   EXPECT_EQ(rig.spin_granules(), 20u + 1 + 53);
@@ -235,7 +268,7 @@ TEST(LockSpin, QuantumExpiryPreemptsAtTheNextBoundary) {
   EXPECT_EQ(s.cpu_time(), 1000u + 1000 + 2750);
   EXPECT_EQ(other.cpu_time(), 300u);
   expect_waits(rig.site(), {5050 - kSpinStart});
-  EXPECT_EQ(rig.eng().events_processed(), 96u);
+  EXPECT_EQ(rig.steps(), 96u);
   // Granules 1050..1950, then 2350..5000; the ones ending at 2000 (the
   // preemption) and 5050 resume the spinner.
   EXPECT_EQ(rig.spin_granules(), 19u + 54);

@@ -1,8 +1,10 @@
-// Discrete-event engine: ordering, determinism, cancellation, run_until.
+// Discrete-event engine: ordering, determinism, cancellation, run_until,
+// caller-owned timers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <random>
 #include <set>
 #include <tuple>
@@ -230,6 +232,172 @@ TEST(Engine, RunUntilSkipsCancelledTopWithoutOverrunning) {
   EXPECT_EQ(eng.now(), 100u);
 }
 
+// A timer that appends its tag to `order` when it runs.
+struct Probe {
+  Probe(std::vector<int>& o, int t, TimerQueue q = TimerQueue::kHeap)
+      : order(o), tag(t), timer(&Probe::run, this, q) {}
+  static void run(void* p) {
+    auto* self = static_cast<Probe*>(p);
+    self->order.push_back(self->tag);
+  }
+  std::vector<int>& order;
+  int tag;
+  Timer timer;
+};
+
+constexpr TimerQueue kQueues[] = {TimerQueue::kHeap, TimerQueue::kSide};
+
+TEST(EngineTimer, ArmedBetweenTwoSchedulesRunsBetweenThem) {
+  for (TimerQueue q : kQueues) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 2, q);
+    eng.schedule_at(10, [&] { order.push_back(1); });
+    eng.arm(t.timer, 10);
+    eng.schedule_at(10, [&] { order.push_back(3); });
+    EXPECT_TRUE(t.timer.armed());
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_FALSE(t.timer.armed());
+  }
+}
+
+TEST(EngineTimer, RearmRunsAfterEventsScheduledInBetween) {
+  for (TimerQueue q : kQueues) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 2, q);
+    eng.arm(t.timer, 10);
+    eng.schedule_at(10, [&] { order.push_back(1); });
+    eng.disarm(t.timer);
+    EXPECT_FALSE(t.timer.armed());
+    eng.disarm(t.timer);  // no-op
+    eng.arm(t.timer, 10);
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2})) << "stale key must not run";
+    EXPECT_EQ(eng.events_processed() + eng.side_processed(), 2u);
+  }
+}
+
+TEST(EngineTimer, SideTimerAndHeapEventTieInSequenceOrder) {
+  {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 1, TimerQueue::kSide);
+    eng.arm(t.timer, 10);
+    eng.schedule_at(10, [&] { order.push_back(2); });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  }
+  {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 2, TimerQueue::kSide);
+    eng.schedule_at(10, [&] { order.push_back(1); });
+    eng.arm(t.timer, 10);
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  }
+}
+
+TEST(EngineTimer, SideRunsCountApartFromEvents) {
+  Engine eng;
+  std::vector<int> order;
+  Probe side(order, 1, TimerQueue::kSide);
+  Probe heap(order, 2);
+  eng.arm(side.timer, 5);
+  eng.arm(heap.timer, 5);
+  eng.schedule_at(5, [&] { order.push_back(3); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.events_processed(), 2u);
+  EXPECT_EQ(eng.side_processed(), 1u);
+}
+
+TEST(EngineTimer, RunUntilRunsDueSideTimerAndStopsBeforeLater) {
+  Engine eng;
+  std::vector<int> order;
+  Probe due(order, 1, TimerQueue::kSide);
+  Probe later(order, 2, TimerQueue::kSide);
+  eng.arm(later.timer, 100);
+  eng.arm(due.timer, 10);
+  EXPECT_TRUE(eng.run_until(50));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(eng.now(), 50u);
+  EXPECT_TRUE(later.timer.armed());
+  EXPECT_TRUE(eng.run_until(100));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EngineTimer, PendingAndEmptyCountArmedTimers) {
+  for (TimerQueue q : kQueues) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 1, q);
+    eng.arm(t.timer, 10);
+    EXPECT_EQ(eng.events_pending(), 1u);
+    EXPECT_FALSE(eng.empty());
+    eng.schedule_at(20, [] {});
+    EXPECT_EQ(eng.events_pending(), 2u);
+    eng.disarm(t.timer);
+    EXPECT_EQ(eng.events_pending(), 1u);
+    eng.arm(t.timer, 10);
+    EXPECT_TRUE(eng.run_until(10));
+    EXPECT_EQ(eng.events_pending(), 1u);
+    eng.run();
+    EXPECT_TRUE(eng.empty());
+  }
+}
+
+TEST(EngineTimer, CancelRefusesATimerId) {
+  for (TimerQueue q : kQueues) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 1, q);
+    eng.schedule_at(10, [] {});  // a live callback slot 0
+    eng.arm(t.timer, 10);
+    EXPECT_FALSE(eng.cancel(t.timer.id()));
+    EXPECT_TRUE(t.timer.armed());
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1}));
+  }
+}
+
+TEST(EngineTimer, ReleaseDropsAKeyLeftInTheHeap) {
+  Engine eng;
+  std::vector<int> order;
+  {
+    Probe gone(order, 1);
+    eng.arm(gone.timer, 10);
+    eng.release(gone.timer);
+  }
+  // The next timer registered takes the released table slot.
+  Probe next(order, 2);
+  eng.arm(next.timer, 20);
+  EXPECT_EQ(eng.events_pending(), 1u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(eng.events_processed(), 1u);
+}
+
+TEST(EngineTimerDeathTest, ArmingAnArmedTimerAborts) {
+  Engine eng;
+  std::vector<int> order;
+  Probe t(order, 1);
+  eng.arm(t.timer, 10);
+  EXPECT_DEATH(eng.arm(t.timer, 20), "armed");
+}
+
+TEST(EngineTimerDeathTest, ArmingIntoThePastAborts) {
+  for (TimerQueue q : kQueues) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 1, q);
+    eng.schedule_at(100, [&] { EXPECT_DEATH(eng.arm(t.timer, 50), "past"); });
+    eng.run();
+  }
+}
+
 // Randomized differential test against a reference model: an ordered set
 // of (time, schedule sequence) keys.  Some callbacks schedule a child, and
 // cancels target live, already-run and cancelled ids alike.
@@ -313,6 +481,69 @@ TEST(Engine, MatchesReferenceModel) {
     }
     EXPECT_FALSE(eng.run_one());
     EXPECT_EQ(ran, model_ran);
+  }
+}
+
+// Timers of both queues mixed with callbacks, against the same model: a
+// timer's arm draws its key exactly where schedule_at() would.
+TEST(EngineTimer, MatchesReferenceModel) {
+  constexpr int kTimers = 8;  // even: heap, odd: side list
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    Engine eng;
+    std::uint64_t seq = 0;
+    using Key = std::tuple<SimTime, std::uint64_t, int>;  // t, seq, tag
+    std::set<Key> model;
+    std::vector<Key> timer_key(kTimers);
+    std::vector<int> ran;
+    std::vector<int> model_ran;
+    std::vector<std::unique_ptr<Probe>> timers;
+    for (int i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<Probe>(
+          ran, -1 - i, i % 2 == 0 ? TimerQueue::kHeap : TimerQueue::kSide));
+    }
+    auto arm = [&](int i, SimTime at) {
+      timer_key[static_cast<std::size_t>(i)] = {at, seq++, -1 - i};
+      model.insert(timer_key[static_cast<std::size_t>(i)]);
+      eng.arm(timers[static_cast<std::size_t>(i)]->timer, at);
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const unsigned r = rng() % 10;
+      const int i = static_cast<int>(rng() % kTimers);
+      Probe& t = *timers[static_cast<std::size_t>(i)];
+      if (r < 3) {
+        const int tag = op;
+        const SimTime at = eng.now() + rng() % 16;
+        model.insert({at, seq++, tag});
+        eng.schedule_at(at, [&ran, tag] { ran.push_back(tag); });
+      } else if (r < 6) {
+        if (t.timer.armed()) {
+          model.erase(timer_key[static_cast<std::size_t>(i)]);
+          eng.disarm(t.timer);
+        }
+        arm(i, eng.now() + rng() % 16);
+      } else if (r < 7) {
+        if (t.timer.armed()) model.erase(timer_key[static_cast<std::size_t>(i)]);
+        eng.disarm(t.timer);
+      } else {
+        const bool model_has = !model.empty();
+        ASSERT_EQ(eng.run_one(), model_has) << "seed " << seed;
+        if (model_has) {
+          const Key k = *model.begin();
+          model.erase(model.begin());
+          model_ran.push_back(std::get<2>(k));
+          ASSERT_EQ(eng.now(), std::get<0>(k)) << "seed " << seed;
+        }
+      }
+      ASSERT_EQ(ran, model_ran) << "seed " << seed;
+      ASSERT_EQ(eng.events_pending(), model.size()) << "seed " << seed;
+    }
+    while (eng.run_one()) {
+      model_ran.push_back(std::get<2>(*model.begin()));
+      model.erase(model.begin());
+    }
+    EXPECT_EQ(ran, model_ran) << "seed " << seed;
+    EXPECT_TRUE(model.empty());
   }
 }
 

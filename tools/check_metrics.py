@@ -28,7 +28,11 @@ queued, and the handler-latency histogram accounts for every handler;
 the host thread's fiber-stack gauges (sim/fiber_stacks/mapped and
 pooled) are non-negative integers with pooled <= mapped, and once more
 than 1000 handlers were spawned fewer stacks are mapped than were
-spawned (the stack count is bounded by live fibers, not by requests).
+spawned (the stack count is bounded by live fibers, not by requests);
+the engine's event gauges (sim/events/dispatched and spin_granules) are
+non-negative integers, and the per-CPU nodeN/cpuC/spin_granules counters
+(granules re-armed without a fiber switch) sum to at most the granules
+the engine ran from its side list.
 With --expect-rma, additionally asserts the one-sided conservation laws
 (src/nmad/rma): per node the eager/rendezvous split accounts for every
 put issued, every opened epoch closed, no wire op was dropped as
@@ -278,10 +282,25 @@ def check_rpc(path: str, doc: dict) -> None:
     if spawns > 1000 and stacks["mapped"] >= spawns:
         fail(f"{path}: {stacks['mapped']} fiber stacks mapped for {spawns} "
              f"handler spawns (stack count grows with requests)")
+    events = {}
+    for kind in ("dispatched", "spin_granules"):
+        v = gauges.get(f"sim/events/{kind}")
+        if not isinstance(v, (int, float)) or v < 0 or v != int(v):
+            fail(f"{path}: gauge sim/events/{kind} absent or not a "
+                 f"non-negative integer ({v!r})")
+        events[kind] = int(v)
+    rearmed = sum(v for name, v in counters.items()
+                  if name.startswith("node") and "/cpu" in name
+                  and name.endswith("/spin_granules"))
+    if rearmed > events["spin_granules"]:
+        fail(f"{path}: cores re-armed {rearmed} spin granules but the "
+             f"engine ran only {events['spin_granules']}")
     print(f"check_metrics: {path}: rpc ok ({issued} calls dispatched, "
           f"{sig_sent} signals delivered on {len(nodes)} nodes; "
           f"{stacks['mapped']} fiber stacks mapped, {stacks['pooled']} "
-          f"pooled, for {spawns} handler spawns)")
+          f"pooled, for {spawns} handler spawns; {events['dispatched']} "
+          f"events + {events['spin_granules']} spin granules, "
+          f"{rearmed} re-armed)")
 
 
 def check_rma(path: str, doc: dict) -> None:
