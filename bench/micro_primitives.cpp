@@ -1,4 +1,4 @@
-// Ablation A7 — microbenchmarks of the building blocks: lock-free queues,
+// Ablation A7 — microbenchmarks of the building blocks: a lock-free ring,
 // fiber context switch, event-engine dispatch, tasklet round trip.
 // These are host-time benchmarks (google-benchmark), not simulated time.
 #include <benchmark/benchmark.h>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/mpmc_ring.hpp"
-#include "common/mpsc_queue.hpp"
 #include "common/spinlock.hpp"
 #include "marcel/runtime.hpp"
 #include "sim/engine.hpp"
@@ -17,21 +16,6 @@
 namespace {
 
 // ---------------------------------------------------------------- queues
-
-struct QItem {
-  pm2::MpscHook hook;
-  int value = 0;
-};
-
-void BM_MpscPushPop(benchmark::State& state) {
-  pm2::MpscQueue<QItem, &QItem::hook> queue;
-  QItem item;
-  for (auto _ : state) {
-    queue.push(item);
-    benchmark::DoNotOptimize(queue.pop());
-  }
-}
-BENCHMARK(BM_MpscPushPop);
 
 void BM_MpmcRingPushPop(benchmark::State& state) {
   pm2::MpmcRing<int> ring(1024);

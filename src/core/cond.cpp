@@ -22,6 +22,7 @@ void Cond::wait() {
   // Posted-but-not-offloaded work is on our critical path now: run it here
   // ("the message is sent inside the wait function", §3.1).
   server_->flush_posted();
+  Server::Poller poller(*server_, this);
   while (!done_) {
     // NB: every call below that consumes CPU time is a suspension point
     // after which the thread may have migrated — fetch the CPU fresh and
@@ -49,11 +50,10 @@ void Cond::wait() {
       marcel::this_thread::cpu().block_current();
       continue;
     }
-    const bool progress = server_->poll_round(cpu);
-    if (done_) break;
-    if (!progress && server_->config().poll_gap > 0) {
-      marcel::this_thread::compute(server_->config().poll_gap);
-    }
+    // Poll every source, then (no progress) burn poll_gap; the burns run
+    // whole empty rounds in engine context while nothing changes.
+    server_->open_round(poller, cpu);
+    if (!server_->run_pass(poller)) break;
   }
 }
 

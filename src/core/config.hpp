@@ -7,7 +7,7 @@ namespace pm2::piom {
 
 struct Config {
   /// Cost of invoking one registered poll callback (queue inspection,
-  /// function dispatch) — charged per ltask per round, on top of whatever
+  /// function dispatch) — charged per source per round, on top of whatever
   /// the callback itself consumes.
   SimDuration ltask_poll_cost = 150;  // ns
 

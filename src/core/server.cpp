@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
+#include "core/cond.hpp"
 #include "marcel/cpu.hpp"
 #include "marcel/lockdep.hpp"
 #include "sim/engine.hpp"
@@ -57,44 +58,54 @@ Server::~Server() {
   node_.remove_switch_hook(switch_hook_id_);
 }
 
-int Server::register_ltask(LtaskFn fn) {
-  const int id = next_ltask_id_++;
-  auto entry = std::make_unique<LtaskEntry>();
-  entry->id = id;
-  entry->fn = std::move(fn);
-  ltasks_.push_back(std::move(entry));
-  return id;
+int Server::add_source(Source src) {
+  PM2_ASSERT(src.poll != nullptr);
+  auto entry = std::make_unique<SourceEntry>();
+  entry->id = next_source_id_++;
+  entry->stats = &stats_for(src.name);
+  entry->src = std::move(src);
+  sources_.push_back(std::move(entry));
+  return sources_.back()->id;
 }
 
-void Server::unregister_ltask(int id) {
+void Server::remove_source(int id) {
   if (poll_round_depth_ > 0) {
-    // Mid-round (typically a callback unregistering itself): destroying a
+    // Mid-round (typically a poll removing its own source): destroying a
     // std::function while its body executes is UB, and erase would shift
     // the vector under the iterating loop.  Tombstone; swept at depth 0.
-    for (auto& e : ltasks_) {
+    for (auto& e : sources_) {
       if (e->id == id && e->alive) {
         e->alive = false;
-        ltasks_dirty_ = true;
+        sources_dirty_ = true;
       }
     }
     return;
   }
-  std::erase_if(ltasks_, [id](const auto& e) { return e->id == id; });
+  std::erase_if(sources_, [id](const auto& e) { return e->id == id; });
+}
+
+Server::SourceStats& Server::stats_for(const std::string& name) {
+  const auto [it, fresh] = source_stats_.try_emplace(name);
+  if (fresh && metrics_ != nullptr) {
+    const std::string p = metrics_prefix_ + "/source/" + name;
+    metrics_->bind_counter(p + "/polls", &it->second.polls);
+    metrics_->bind_counter(p + "/hits", &it->second.hits);
+  }
+  return it->second;
 }
 
 void Server::set_block_support(BlockSupport support) {
   block_support_ = std::move(support);
 }
 
-int Server::add_work_probe(std::function<bool()> probe) {
-  return work_probes_.insert(std::move(probe));
-}
-
-void Server::remove_work_probe(int id) { work_probes_.erase(id); }
-
 bool Server::has_work() const {
   if (armed_ > 0 || !posted_.empty()) return true;
-  return work_probes_.any_of([](const auto& probe) { return probe(); });
+  for (const auto& e : sources_) {
+    if (e->alive && e->src.has_work != nullptr && e->src.has_work()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void Server::arm() {
@@ -160,26 +171,171 @@ bool Server::run_posted(marcel::Cpu& cpu) {
   return any;
 }
 
+bool Server::poll_source(SourceEntry& e, marcel::Cpu& cpu) {
+  SourceStats& st = *e.stats;
+  ++st.polls;
+  const bool hit = e.src.poll(cpu);
+  if (hit) ++st.hits;
+  return hit;
+}
+
 bool Server::poll_round(marcel::Cpu& cpu) {
   marcel::EngineScope scope;
   ++stats_.poll_rounds;
   bool progress = false;
   ++poll_round_depth_;
-  // Index loop, size re-read each pass: callbacks may register new ltasks
-  // (picked up this round) or unregister existing ones (tombstoned, skipped)
-  // while we iterate.
-  for (std::size_t i = 0; i < ltasks_.size(); ++i) {
-    if (!ltasks_[i]->alive) continue;
+  // Index loop, size re-read each pass: polls may add sources (picked up
+  // this round) or remove existing ones (tombstoned, skipped) while we
+  // iterate.
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    if (!sources_[i]->alive) continue;
     if (cfg_.ltask_poll_cost > 0) burn(cpu, cfg_.ltask_poll_cost);
-    // The burn can preempt; another fiber may have unregistered this entry.
-    if (!ltasks_[i]->alive) continue;
-    progress = ltasks_[i]->fn(cpu) || progress;
+    // The burn can preempt; another fiber may have removed this source.
+    if (!sources_[i]->alive) continue;
+    progress = poll_source(*sources_[i], cpu) || progress;
   }
-  if (--poll_round_depth_ == 0 && ltasks_dirty_) {
-    ltasks_dirty_ = false;
-    std::erase_if(ltasks_, [](const auto& e) { return !e->alive; });
-  }
+  end_round();
   return progress;
+}
+
+void Server::end_round() {
+  if (--poll_round_depth_ == 0 && sources_dirty_) {
+    sources_dirty_ = false;
+    std::erase_if(sources_, [](const auto& e) { return !e->alive; });
+  }
+}
+
+// ------------------------------------------------------------ poll loops
+//
+// Cond::wait and the idle hook share one loop body: open a round, burn
+// ltask_poll_cost and poll for each live source, close the round, and
+// after a round without progress burn poll_gap before the loop top.  The
+// fiber runs it in run_pass(); Poller::boundary() runs the same steps in
+// engine context at the end of each burn, as long as every check the
+// fiber would make finds nothing to do (docs/concurrency.md §8).
+
+void Server::open_round(Poller& p, marcel::Cpu& cpu) {
+  cpu.engine_scope_enter();
+  ++stats_.poll_rounds;
+  ++poll_round_depth_;
+  p.cpu = &cpu;
+  p.src = 0;
+  p.progress = false;
+  p.at = Poller::At::kNext;
+}
+
+void Server::close_round(marcel::Cpu& cpu) {
+  end_round();
+  cpu.engine_scope_exit();
+}
+
+SimDuration Server::after_round(Poller& p) {
+  if (p.cond != nullptr ? p.cond->done() : !has_work()) {
+    if (p.cond == nullptr) poll_owner_ = nullptr;  // everything completed
+    p.at = Poller::At::kEnd;
+    return 0;
+  }
+  p.at = Poller::At::kTop;
+  return p.progress ? 0 : cfg_.poll_gap;  // busy-wait pacing
+}
+
+std::size_t Server::next_source(std::size_t i) const noexcept {
+  while (i < sources_.size() && !sources_[i]->alive) ++i;
+  return i;
+}
+
+void Server::burn_chunks(Poller& p, SimDuration d) {
+  // Re-fetch the CPU per chunk: a preemption may migrate a thread.
+  while (d > 0) d = marcel::this_thread::cpu().poll_chunk(d, p);
+}
+
+bool Server::run_pass(Poller& p) {
+  using At = Poller::At;
+  for (;;) {
+    switch (p.at) {
+      case At::kTop:
+        return true;
+      case At::kEnd:
+        return false;
+      case At::kNext:
+        p.src = next_source(p.src);
+        if (p.src < sources_.size()) {
+          p.at = At::kBurned;
+          burn_chunks(p, cfg_.ltask_poll_cost);
+        } else {
+          close_round(marcel::this_thread::cpu());
+          burn_chunks(p, after_round(p));
+        }
+        break;
+      case At::kBurned: {
+        SourceEntry& e = *sources_[p.src++];
+        p.at = At::kNext;
+        // The burn can preempt; another fiber may have removed the source.
+        if (e.alive) p.progress = poll_source(e, *p.cpu) || p.progress;
+        break;
+      }
+    }
+  }
+}
+
+bool Server::top_quiet(const Poller& p, marcel::Cpu& cpu) const {
+  if (!posted_.empty() || cpu.runnable() > 0) return false;
+  if (p.cond != nullptr) return !p.cond->done();
+  // The service loop calls the idle hook again, which polls on this core.
+  return cpu.service_repolls() && has_work() &&
+         (poll_owner_ == nullptr || poll_owner_ == &cpu ||
+          !poll_owner_->idle_polling());
+}
+
+SimDuration Server::Poller::boundary(marcel::Cpu& c) {
+  Server& s = server;
+  const SimDuration quantum = s.node_.config().quantum;
+  if (s.cfg_.ltask_poll_cost > quantum || s.cfg_.poll_gap > quantum) {
+    return 0;  // a burn of several chunks: the fiber steps it
+  }
+  bool opened = false;
+  for (;;) {
+    switch (at) {
+      case At::kEnd:
+        return 0;
+      case At::kTop:
+        // A pass that burnt nothing ends here; the fiber takes it on.
+        if (opened || !s.top_quiet(*this, c)) return 0;
+        if (cond == nullptr) {
+          c.service_round_begin();
+          s.poll_owner_ = &c;
+        }
+        s.open_round(*this, c);
+        c.count_engine_poll();
+        opened = true;
+        break;
+      case At::kNext:
+        src = s.next_source(src);
+        if (src < s.sources_.size()) {
+          at = At::kBurned;
+          if (s.cfg_.ltask_poll_cost > 0) return s.cfg_.ltask_poll_cost;
+        } else {
+          s.close_round(c);
+          if (const SimDuration gap = s.after_round(*this); gap > 0) {
+            return gap;
+          }
+        }
+        break;
+      case At::kBurned: {
+        // A completion during the burn changes nothing here: the fiber
+        // still polls this source and finishes the round, and
+        // after_round() sees it.
+        SourceEntry& e = *s.sources_[src];
+        if (e.alive) {
+          if (e.src.poll_empty == nullptr || !e.src.poll_empty()) return 0;
+          ++e.stats->polls;
+        }
+        ++src;
+        at = At::kNext;
+        break;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ hooks
@@ -193,16 +349,11 @@ bool Server::idle_hook(marcel::Cpu& cpu) {
     return false;  // someone else is on it; this core can halt
   }
   poll_owner_ = &cpu;
-  bool progress = run_posted(cpu);
-  progress = poll_round(cpu) || progress;
-  if (!has_work()) {
-    poll_owner_ = nullptr;
-    return false;  // everything completed: stop polling
-  }
-  if (!progress && cfg_.poll_gap > 0) {
-    burn(cpu, cfg_.poll_gap);  // busy-wait pacing between empty rounds
-  }
-  return has_work();
+  Poller p(*this, nullptr);
+  const bool posted = run_posted(cpu);
+  open_round(p, cpu);
+  p.progress = posted;
+  return run_pass(p) && has_work();
 }
 
 void Server::tick_hook(marcel::Cpu& cpu) {
@@ -302,8 +453,14 @@ void Server::on_interrupt() {
 void Server::notify_work() { node_.kick_idle_cpus(); }
 
 void Server::bind_metrics(MetricsRegistry& registry,
-                          std::string_view prefix) const {
+                          std::string_view prefix) {
   const std::string p(prefix);
+  metrics_ = &registry;
+  metrics_prefix_ = p;
+  for (auto& [name, st] : source_stats_) {
+    registry.bind_counter(p + "/source/" + name + "/polls", &st.polls);
+    registry.bind_counter(p + "/source/" + name + "/hits", &st.hits);
+  }
   registry.bind_counter(p + "/poll/rounds", &stats_.poll_rounds);
   registry.bind_counter(p + "/offload/posted", &stats_.posted_items);
   registry.bind_counter(p + "/offload/offloaded", &stats_.posted_offloaded);

@@ -1,8 +1,9 @@
 // PIOMan — the event server at the heart of the paper.
 //
-// One Server runs per node.  A communication library (NewMadeleine here)
-// registers *ltasks* — poll callbacks that advance its protocol state — and
-// *posts* deferred work items (e.g. the expensive injection of a small
+// One Server runs per node.  Communication layers (NewMadeleine's core, its
+// collective engine, the RPC service) register *sources* — poll callbacks
+// that advance their protocol state, with a work probe and an engine-context
+// empty poll — and *post* deferred work items (e.g. the expensive injection of a small
 // message, §2.2).  The server then exploits Marcel's trigger points:
 //
 //  * idle cores run the poll callbacks and the posted work (offload),
@@ -19,12 +20,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/simtime.hpp"
-#include "common/slot_map.hpp"
 #include "core/config.hpp"
 #include "marcel/node.hpp"
 #include "marcel/tasklet.hpp"
@@ -35,6 +37,8 @@ class MetricsRegistry;
 
 namespace pm2::piom {
 
+class Cond;
+
 /// Detection method currently in force (§3.2 "Rendezvous management").
 enum class Method : std::uint8_t {
   kPolling,   // idle cores actively poll
@@ -43,10 +47,31 @@ enum class Method : std::uint8_t {
 
 class Server {
  public:
-  /// A poll source.  Runs on whatever core the server picked (service
-  /// fiber, LWP, or a waiting thread); may consume CPU time; returns true
-  /// if it made progress (completed or advanced at least one request).
-  using LtaskFn = std::function<bool(marcel::Cpu&)>;
+  /// One progress source of the node (the communication library's poll
+  /// callback, its work probe and its engine-context empty poll).
+  struct Source {
+    /// Counted under "<prefix>/source/<name>/{polls,hits}"; sources that
+    /// share a name share the counters.
+    std::string name;
+
+    /// Advance protocol state.  Runs on whatever core the server picked
+    /// (service fiber, LWP, or a waiting thread); may consume CPU time;
+    /// returns true if it made progress (completed or advanced at least
+    /// one request).
+    std::function<bool(marcel::Cpu&)> poll;
+
+    /// Optional cheap engine-context probe for externally visible work
+    /// (e.g. packets sitting in a NIC receive queue with no local request
+    /// armed yet, or unexpected RPC-band messages awaiting dispatch).
+    /// Idle cores keep polling while any source reports work.
+    std::function<bool()> has_work = nullptr;
+
+    /// Optional, engine context: when poll() would find nothing at this
+    /// instant, do what that empty poll does (its lock traffic, say) and
+    /// return true; otherwise return false and change nothing.  Poll
+    /// rounds skip the fiber switch for a source only through this.
+    std::function<bool()> poll_empty = nullptr;
+  };
 
   /// Deferred work item (e.g. submit-to-NIC); may consume CPU time.
   using WorkFn = std::function<void()>;
@@ -68,27 +93,22 @@ class Server {
 
   // ---- registration (communication library side) ----
 
-  /// Register a persistent poll source.  Returns an id for unregistering.
-  int register_ltask(LtaskFn fn);
-  void unregister_ltask(int id);
+  /// Register a progress source; sources are polled in registration
+  /// order.  Returns an id for remove_source().  A layer that dies before
+  /// the server must remove its source (it captures the layer's state).
+  int add_source(Source src);
+  /// Unregister; mid-round (e.g. from inside a poll) the entry is
+  /// tombstoned and swept once no round is open.
+  void remove_source(int id);
+  /// Registry size (live entries + tombstones); bounded by regression
+  /// tests across register/unregister churn.
+  [[nodiscard]] std::size_t source_slots() const noexcept {
+    return sources_.size();
+  }
 
   /// Provide (or clear) interrupt support; without it the server never
   /// switches to the blocking method.
   void set_block_support(BlockSupport support);
-
-  /// Cheap engine-context probe for externally visible work (e.g. packets
-  /// sitting in a NIC receive queue with no local request armed yet, or
-  /// unexpected RPC-band messages awaiting dispatch).  Idle cores keep
-  /// polling while any registered probe returns true.  Multiple layers
-  /// (Core, RpcEngine, ...) each add their own; a layer that dies before
-  /// the server must remove its probe (it captures the layer's state).
-  int add_work_probe(std::function<bool()> probe);
-  void remove_work_probe(int id);
-  /// Probe registry slot high-water mark (live + reusable holes); bounded
-  /// by regression tests across register/unregister churn.
-  [[nodiscard]] std::size_t work_probe_slots() const noexcept {
-    return work_probes_.slot_count();
-  }
 
   // ---- event posting ----
 
@@ -123,7 +143,7 @@ class Server {
     return posted_.size();
   }
 
-  /// Run one round of all ltasks on `cpu`; true if any made progress.
+  /// Run one round of all sources on `cpu`; true if any made progress.
   bool poll_round(marcel::Cpu& cpu);
 
   /// Driver-side notification: a NIC interrupt fired (blocking mode).
@@ -153,8 +173,10 @@ class Server {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
   /// Bind every counter above into `registry` under `prefix` (e.g.
-  /// "node0/piom"), plus a computed "<prefix>/method_blocking" gauge.
-  void bind_metrics(MetricsRegistry& registry, std::string_view prefix) const;
+  /// "node0/piom"), plus a computed "<prefix>/method_blocking" gauge and
+  /// each source's "<prefix>/source/<name>/{polls,hits}" (also for sources
+  /// added later).
+  void bind_metrics(MetricsRegistry& registry, std::string_view prefix);
 
  private:
   friend class Cond;
@@ -163,6 +185,58 @@ class Server {
     WorkFn fn;
     marcel::Cpu* poster;
   };
+
+  struct SourceStats {
+    std::uint64_t polls = 0;
+    std::uint64_t hits = 0;  // polls that made progress
+  };
+
+  struct SourceEntry {
+    int id;
+    Source src;
+    SourceStats* stats;
+    bool alive = true;  // tombstoned by remove_source mid-round
+  };
+
+  /// One busy-poll loop — piom::Cond::wait's or the idle hook's — from
+  /// the round it opens to the next loop top.  The fiber runs it through
+  /// run_pass(); between its chunks, boundary() runs the same steps in
+  /// engine context while every check finds nothing to do (see
+  /// docs/concurrency.md §8).
+  struct Poller final : marcel::Cpu::PollLoop {
+    /// Where the loop stands.  Only boundary() and run_pass() move it.
+    enum class At : std::uint8_t {
+      kNext,    // round open: burn for the next live source from `src`,
+                // or close the round
+      kBurned,  // round open, source `src` burnt for: poll it
+      kTop,     // back at the loop top (idle hook: return has_work())
+      kEnd,     // the loop ends: the Cond is done, or no work is left
+    };
+    Poller(Server& s, const Cond* c) noexcept : server(s), cond(c) {}
+    SimDuration boundary(marcel::Cpu& cpu) override;
+
+    Server& server;
+    const Cond* cond;             // Cond::wait's; null for the idle hook
+    marcel::Cpu* cpu = nullptr;   // where the round opened: sources poll it
+    At at = At::kTop;
+    std::size_t src = 0;
+    bool progress = false;
+  };
+
+  // Poll-loop steps shared by the fiber and the engine-context boundary.
+  void open_round(Poller& p, marcel::Cpu& cpu);
+  void close_round(marcel::Cpu& cpu);
+  void end_round();
+  /// Sets p.at after a closed round; returns the gap to burn first.
+  SimDuration after_round(Poller& p);
+  [[nodiscard]] std::size_t next_source(std::size_t i) const noexcept;
+  [[nodiscard]] bool top_quiet(const Poller& p, marcel::Cpu& cpu) const;
+  /// Fiber side: runs `p` from its position to the next loop top (true)
+  /// or the loop's end (false).
+  bool run_pass(Poller& p);
+  void burn_chunks(Poller& p, SimDuration d);
+  bool poll_source(SourceEntry& e, marcel::Cpu& cpu);
+  SourceStats& stats_for(const std::string& name);
 
   bool idle_hook(marcel::Cpu& cpu);
   void tick_hook(marcel::Cpu& cpu);
@@ -175,17 +249,16 @@ class Server {
   marcel::Node& node_;
   Config cfg_;
 
-  struct LtaskEntry {
-    int id;
-    LtaskFn fn;
-    bool alive = true;  // tombstoned by unregister_ltask mid-round
-  };
   // unique_ptr entries: addresses stay stable when a callback registers a
-  // new ltask (push_back may reallocate) while poll_round iterates.
-  std::vector<std::unique_ptr<LtaskEntry>> ltasks_;
-  int next_ltask_id_ = 1;
-  int poll_round_depth_ = 0;   // poll_round can nest across fibers
-  bool ltasks_dirty_ = false;  // tombstones awaiting the depth-0 sweep
+  // new source (push_back may reallocate) while a round iterates.
+  std::vector<std::unique_ptr<SourceEntry>> sources_;
+  int next_source_id_ = 1;
+  int poll_round_depth_ = 0;    // rounds can nest across fibers
+  bool sources_dirty_ = false;  // tombstones awaiting the depth-0 sweep
+  // Per-name counters; a map keeps their addresses stable for binding.
+  std::map<std::string, SourceStats, std::less<>> source_stats_;
+  MetricsRegistry* metrics_ = nullptr;  // set by bind_metrics()
+  std::string metrics_prefix_;
 
   unsigned armed_ = 0;
   unsigned critical_ = 0;  // subset of armed_ needing interrupt fallback
@@ -193,12 +266,11 @@ class Server {
   marcel::Tasklet offload_tasklet_;
   marcel::Cpu* poll_owner_ = nullptr;
 
-  /// True when any request is armed, work is posted, or the probe reports
+  /// True when any request is armed, work is posted, or a source reports
   /// externally pending events.
   [[nodiscard]] bool has_work() const;
 
   BlockSupport block_support_;
-  SlotMap<std::function<bool()>> work_probes_;
   bool interrupts_enabled_ = false;
   Method method_ = Method::kPolling;
 

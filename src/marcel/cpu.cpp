@@ -52,13 +52,15 @@ Cpu::Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine)
       switch_timer_(&call<&Cpu::run_occupant>, this),
       granule_timer_(&call<&Cpu::end_spin_granule>, this,
                      sim::TimerQueue::kSide),
+      poll_timer_(&call<&Cpu::end_poll_chunk>, this),
       tick_timer_(&call<&Cpu::on_tick>, this),
       deadline_timer_(&call<&Cpu::spin_wake>, this) {}
 
 Cpu::~Cpu() {
   // The engine may outlive the core: leave no key that calls back into it.
   for (sim::Timer* t : {&dispatch_timer_, &resume_timer_, &switch_timer_,
-                        &granule_timer_, &tick_timer_, &deadline_timer_}) {
+                        &granule_timer_, &poll_timer_, &tick_timer_,
+                        &deadline_timer_}) {
     engine_.release(*t);
   }
 }
@@ -132,11 +134,14 @@ void Cpu::request_resched(bool hard) {
     engine_.arm(resume_timer_, engine_.now());
     return;
   }
-  if (hard && busy() && (resume_timer_.armed() || granule_timer_.armed())) {
-    // Cut the in-flight compute chunk or spin granule short: resume the
-    // occupant now so it reaches its preemption point immediately.
+  if (hard && busy() &&
+      (resume_timer_.armed() || granule_timer_.armed() ||
+       poll_timer_.armed())) {
+    // Cut the in-flight compute chunk, spin granule or poll chunk short:
+    // resume the occupant now so it reaches its preemption point at once.
     engine_.disarm(resume_timer_);
     engine_.disarm(granule_timer_);
+    engine_.disarm(poll_timer_);
     engine_.arm(switch_timer_, engine_.now());
   }
 }
@@ -253,6 +258,35 @@ void Cpu::end_spin_granule() {
     chunk_len_ = granule_step_;
     engine_.arm_after(granule_timer_, chunk_len_);
     return;
+  }
+  resume_occupant();
+}
+
+void Cpu::end_poll_chunk() {
+  // The end of a poll_chunk() chunk.  The stepped loop would resume the
+  // fiber here, charge the chunk, run its loop up to the next chunk and
+  // arm it from compute_chunk(); when the loop's boundary can do the same
+  // in engine context, every key is drawn at the same time and point.
+  if (node_.spinners_ != 0) node_.wake_spinners(this);
+  if (!preemption_due() && engine_.fuzzer() == nullptr &&
+      !lockdep::enabled()) {
+    charge(chunk_len_);
+    chunk_start_ = engine_.now();
+    chunk_len_ = 0;
+    // The loop's lock hooks stamp their events on the current CPU.
+    Cpu* prev_cpu = t_cpu;
+    Thread* prev_thread = t_thread;
+    t_cpu = this;
+    t_thread = current_thread();
+    const SimDuration next = poll_loop_->boundary(*this);
+    t_cpu = prev_cpu;
+    t_thread = prev_thread;
+    if (next > 0) {
+      PM2_ASSERT(next <= cfg_.quantum);
+      chunk_len_ = next;
+      engine_.arm_after(poll_timer_, next);
+      return;
+    }
   }
   resume_occupant();
 }
@@ -449,6 +483,45 @@ SimDuration Cpu::spin_chunk(SimDuration d, SimDuration step,
   return chunk_len_ - elapsed;
 }
 
+SimDuration Cpu::poll_chunk(SimDuration d, PollLoop& loop) {
+  // One chunk must cover `d` for the boundary to fall where the stepped
+  // loop's does.
+  if (engine_.fuzzer() != nullptr || lockdep::enabled() || d > cfg_.quantum) {
+    return compute_chunk(d);
+  }
+  PM2_ASSERT_MSG(t_cpu == this, "poll from a fiber not on this CPU");
+  PM2_ASSERT(busy());
+  if (d == 0) return 0;
+  if (preemption_due()) {
+    suspend_current(SuspendReason::kPreempted);
+    return d;
+  }
+  chunk_start_ = engine_.now();
+  chunk_len_ = d;
+  poll_loop_ = &loop;
+  engine_.arm_after(poll_timer_, d);
+  suspend_current(SuspendReason::kCompute);
+  poll_loop_ = nullptr;
+  // Resumed at the end of the last chunk armed (fully charged when the
+  // boundary ran), or inside it by a hard preemption.
+  const SimDuration elapsed =
+      std::min<SimDuration>(engine_.now() - chunk_start_, chunk_len_);
+  charge(elapsed);
+  return chunk_len_ - elapsed;
+}
+
+bool Cpu::service_repolls() const noexcept {
+  return occ_ == Occupant::kService && service_idle_mode_ &&
+         ready_count_ == 0 && tasklets_.empty() &&
+         node_.idle_hooks_.size() == 1;
+}
+
+void Cpu::service_round_begin() {
+  need_resched_ = false;
+  set_core_state(CoreState::kEngine);
+  service_round_seq_ = work_seq_;
+}
+
 void Cpu::spin_wait(SimDuration step, SimTime deadline) {
   PM2_ASSERT_MSG(t_cpu == this, "spin_wait from a fiber not on this CPU");
   const SimTime now = engine_.now();
@@ -625,6 +698,7 @@ void Cpu::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/spin_parks", &stats_.spin_parks);
   registry.bind_counter(p + "/polls_elided", &stats_.polls_elided);
   registry.bind_counter(p + "/spin_granules", &stats_.spin_granules);
+  registry.bind_counter(p + "/engine_polls", &stats_.engine_polls);
   for (std::size_t i = 0; i < kNumCoreStates; ++i) {
     registry.bind_counter(
         p + "/state/" + core_state_name(static_cast<CoreState>(i)) + "_ns",

@@ -52,6 +52,21 @@ inline constexpr std::size_t kNumCoreStates = 5;
 
 class Cpu {
  public:
+  /// The engine-context half of a busy-poll loop that burns its chunks
+  /// through poll_chunk() (piom::Server's poll rounds).
+  class PollLoop {
+   public:
+    /// Engine context, at the end of a poll_chunk() chunk that was charged
+    /// with no preemption due: do what the fiber would do from here up to
+    /// its next chunk and return that chunk's length (at most the quantum),
+    /// or return 0 to resume the fiber, leaving untouched what it must
+    /// still do itself.
+    virtual SimDuration boundary(Cpu& cpu) = 0;
+
+   protected:
+    ~PollLoop() = default;
+  };
+
   Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine);
   ~Cpu();
 
@@ -130,6 +145,28 @@ class Cpu {
   [[nodiscard]] SimDuration spin_chunk(SimDuration d, SimDuration step,
                                        const void* const* word);
 
+  /// compute_chunk() for a busy-poll loop: `d` (at most the quantum) is
+  /// one chunk of the loop.  Each chunk end draws its (time, seq) key where
+  /// the stepped loop's resume event would, but runs `loop.boundary()` in
+  /// engine context instead of resuming the fiber; while that returns a
+  /// next chunk, the chunk is charged and the next one armed without a
+  /// fiber switch.  The fiber resumes when the boundary declines, a
+  /// preemption is due, or a hard resched cuts the chunk (then the rest of
+  /// the cut chunk is returned, as compute_chunk() does).  Falls back to
+  /// compute_chunk() under the schedule fuzzer or lockdep, or when `d`
+  /// exceeds the quantum.
+  [[nodiscard]] SimDuration poll_chunk(SimDuration d, PollLoop& loop);
+
+  /// Engine context, for a PollLoop on the service fiber whose idle hook
+  /// just asked to be polled again: true when the service loop would call
+  /// the idle hooks again at once (still in idle mode, no ready thread or
+  /// tasklet, and a single idle hook to call).
+  [[nodiscard]] bool service_repolls() const noexcept;
+  /// Engine context: the service loop's bookkeeping before that call.
+  void service_round_begin();
+  /// A poll round was opened in engine context (Stats::engine_polls).
+  void count_engine_poll() noexcept { ++stats_.engine_polls; }
+
   /// Yield from the current thread.
   void yield_current();
 
@@ -194,6 +231,7 @@ class Cpu {
     std::uint64_t polls_elided = 0;  // empty poll steps skipped while parked
     std::uint64_t spin_granules = 0; // lock-spin granules re-armed in engine
                                      // context (no fiber switch)
+    std::uint64_t engine_polls = 0;  // poll rounds opened in engine context
 
     void merge(const Stats& o) noexcept {
       thread_busy_ns += o.thread_busy_ns;
@@ -205,6 +243,7 @@ class Cpu {
       spin_parks += o.spin_parks;
       polls_elided += o.polls_elided;
       spin_granules += o.spin_granules;
+      engine_polls += o.engine_polls;
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -224,6 +263,7 @@ class Cpu {
   void run_occupant();
   void resume_occupant();
   void end_spin_granule();
+  void end_poll_chunk();
   [[nodiscard]] bool preemption_due() const noexcept {
     return need_resched_ && occ_ == Occupant::kThread && preempt_off_ == 0;
   }
@@ -269,12 +309,14 @@ class Cpu {
   SimDuration state_ns_[kNumCoreStates] = {};
   std::string state_track_;  // cached "node<i>/cpu<j>/state"
 
-  // The core's six events, each a caller-owned engine timer.  At most one
-  // of resume/switch/granule is armed: the occupant's next resumption.
+  // The core's seven events, each a caller-owned engine timer.  At most
+  // one of resume/switch/granule/poll is armed: the occupant's next
+  // resumption.
   sim::Timer dispatch_timer_;  // dispatch() after a kick
   sim::Timer resume_timer_;    // compute-chunk end, spin_wait() wake
   sim::Timer switch_timer_;    // context-switch end, hard-cut resume
   sim::Timer granule_timer_;   // spin_chunk() granule end (side list)
+  sim::Timer poll_timer_;      // poll_chunk() chunk end
   sim::Timer tick_timer_;      // timer tick
   sim::Timer deadline_timer_;  // spin_wait() deadline wake
   SimTime dispatch_time_ = 0;  // unperturbed time of the armed dispatch
@@ -285,6 +327,8 @@ class Cpu {
   // granule length re-armed in engine context.
   const void* const* granule_word_ = nullptr;
   SimDuration granule_step_ = 0;
+  // poll_chunk() state: the loop whose chunk is armed (null otherwise).
+  PollLoop* poll_loop_ = nullptr;
   SimTime slice_start_ = 0;
 
   // Tracing: label of the current occupancy span (set in begin_run).

@@ -269,11 +269,11 @@ class Engine {
   unsigned world_;
   Algo forced_;  // config/env override (kAuto = autotune per operation)
 
-  // The drain ltask exists only while collectives are in flight — every
-  // registered ltask is charged per poll round, and a dormant engine must
-  // be free for unrelated traffic.
+  // The drain source exists only while collectives are in flight — every
+  // registered source is charged per poll round, and a dormant engine
+  // must be free for unrelated traffic.
   unsigned inflight_ = 0;
-  int ltask_id_ = 0;
+  int source_id_ = 0;
 
   std::deque<std::pair<CollRequest*, std::uint32_t>> ready_;
   std::deque<std::unique_ptr<CollRequest>> pool_;

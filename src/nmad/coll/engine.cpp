@@ -187,14 +187,18 @@ void Engine::launch(CollRequest* cr) {
   }
   piom::Server* server = core_.server();
   if (server != nullptr) {
-    // The drain ltask is registered only while collectives are in flight:
-    // every registered ltask is charged ltask_poll_cost on every poll
-    // round, and a dormant engine must not tax unrelated point-to-point
-    // traffic (launch always runs on an application thread, so this never
-    // mutates the ltask list from inside a poll round).
+    // The drain source is registered only while collectives are in
+    // flight: every registered source is charged ltask_poll_cost on every
+    // poll round, and a dormant engine must not tax unrelated
+    // point-to-point traffic (launch always runs on an application
+    // thread, so this never mutates the registry from inside a poll
+    // round).  Armed requests keep idle cores polling, so no work probe.
     if (inflight_++ == 0) {
-      ltask_id_ = server->register_ltask(
-          [this](marcel::Cpu&) { return drain(); });
+      source_id_ = server->add_source({
+          .name = "coll",
+          .poll = [this](marcel::Cpu&) { return drain(); },
+          .poll_empty = [this] { return ready_.empty(); },
+      });
     }
     server->arm();
   }
@@ -329,11 +333,11 @@ void Engine::finish(CollRequest* cr) {
   }
   if (piom::Server* server = core_.server(); server != nullptr) {
     server->disarm();
-    // May run from inside our own drain ltask (inline reduce/copy chains)
-    // or a core poll round; unregister tombstones mid-round, so this is
-    // safe from any completion context.
+    // May run from inside our own drain (inline reduce/copy chains) or a
+    // core poll round; removal tombstones mid-round, so this is safe from
+    // any completion context.
     PM2_ASSERT(inflight_ > 0);
-    if (--inflight_ == 0) server->unregister_ltask(ltask_id_);
+    if (--inflight_ == 0) server->remove_source(source_id_);
     cr->cond_->signal();
   }
 }
@@ -352,7 +356,7 @@ void Engine::wait(CollRequest* cr) {
   PM2_ASSERT(cr != nullptr);
   if (core_.server() != nullptr) {
     // The waiter participates in polling, which includes this engine's
-    // drain ltask — a wait can never stall the DAG it waits on.
+    // drain source — a wait can never stall the DAG it waits on.
     cr->cond_->wait();
   } else {
     // App-driven baseline: the caller performs the whole execution.

@@ -73,15 +73,13 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
     gates_.back().peer = p;
   }
   if (server_ != nullptr) {
-    ltask_id_ = server_->register_ltask(
-        [this](marcel::Cpu& cpu) { return progress(cpu); });
     // Idle cores keep polling while packets sit in a local NIC queue even
     // if no local request is armed yet (unexpected-message processing).
-    probe_id_ = server_->add_work_probe([this] {
-      for (unsigned r = 0; r < fabric_.rails(); ++r) {
-        if (fabric_.nic(node_id(), r).rx_pending()) return true;
-      }
-      return false;
+    source_id_ = server_->add_source({
+        .name = "nm",
+        .poll = [this](marcel::Cpu& cpu) { return progress(cpu); },
+        .has_work = [this] { return rx_pending(); },
+        .poll_empty = [this] { return progress_empty(); },
     });
     for (unsigned r = 0; r < fabric_.rails(); ++r) {
       fabric_.nic(node_id(), r).set_rx_notify([this] {
@@ -117,8 +115,7 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
 Core::~Core() {
   if (elock_ != nullptr) lock_profile::unregister_site(elock_.get());
   if (server_ != nullptr) {
-    server_->unregister_ltask(ltask_id_);
-    server_->remove_work_probe(probe_id_);
+    server_->remove_source(source_id_);
   }
 }
 
@@ -504,6 +501,33 @@ bool Core::progress(marcel::Cpu& cpu) {
   return any;
 }
 
+bool Core::rx_pending() const {
+  for (unsigned r = 0; r < fabric_.rails(); ++r) {
+    if (fabric_.nic(node_id(), r).rx_pending()) return true;
+  }
+  return false;
+}
+
+bool Core::progress_empty() {
+  // progress() with every rail empty and the engine lock free: take and
+  // drop the lock, find nothing.
+  if (rx_pending() || (elock_ != nullptr && !elock_->free())) return false;
+  if (elock_ != nullptr) {
+    elock_->note_engine_acquire();
+    elock_->note_engine_release();
+  }
+  return true;
+}
+
+bool Core::pop_rpc_pending_empty() {
+  if (elock_ != nullptr && !elock_->free()) return false;
+  if (!match_.rpc_pending_idle()) return false;
+  if (elock_ != nullptr) elock_->note_engine_acquire();
+  match_.note_empty_rpc_pop();
+  if (elock_ != nullptr) elock_->note_engine_release();
+  return true;
+}
+
 // ------------------------------------------------------------ submission
 
 void Core::enqueue_send(Gate& gate, Request& req) {
@@ -511,7 +535,7 @@ void Core::enqueue_send(Gate& gate, Request& req) {
     // Lock-free submission: the posting thread never serializes on a
     // queue lock.  Whoever flushes next (possibly this thread, right
     // after) drains the ring.
-    gate.ring.push(req);
+    gate.ring.push_back(req);
   } else {
     gate.sendq.push_back(req);
   }
@@ -532,7 +556,7 @@ void Core::flush_gate(Gate& gate) {
     // drain → empty-check → return sequence has no suspension point in
     // it, so no message can be stranded.
     while (true) {
-      while (Request* r = gate.ring.pop()) gate.sendq.push_back(*r);
+      while (Request* r = gate.ring.pop_front()) gate.sendq.push_back(*r);
       if (gate.sendq.empty()) return;
       strategy_->flush(*this, gate);
     }

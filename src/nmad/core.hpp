@@ -24,7 +24,6 @@
 #include "core/server.hpp"
 #include "marcel/node.hpp"
 #include "netsim/fabric.hpp"
-#include "common/mpsc_queue.hpp"
 #include "nmad/config.hpp"
 #include "nmad/engine_lock.hpp"
 #include "nmad/flight.hpp"
@@ -47,12 +46,13 @@ struct Gate {
   IntrusiveList<Request, &Request::hook> sendq;  // packs awaiting submission
   unsigned rr_rail = 0;                          // round-robin rail cursor
 
-  /// Sharded-matching mode only: lock-free MPSC posting ring.  isend
-  /// pushes here without any lock; flush_gate drains the ring into sendq
+  /// Sharded-matching mode only: the posting ring.  isend pushes here
+  /// without any lock; flush_gate moves the ring into sendq (a request
+  /// leaves the ring before it joins sendq, so both share Request::hook)
   /// before running the strategy.  Several fibers may flush concurrently
-  /// (pops are atomic between suspension points), which is what lets N
-  /// submitting cores inject in parallel.
-  MpscQueue<Request, &Request::mpsc_hook> ring;
+  /// (pops are atomic between suspension points on the one host thread),
+  /// which is what lets N submitting cores inject in parallel.
+  IntrusiveList<Request, &Request::hook> ring;
 
   Gate() = default;
   Gate(const Gate&) = delete;
@@ -62,7 +62,8 @@ struct Gate {
 /// Receiver-side hook for the one-sided RMA band (PacketKind::kRmaPut..
 /// kRmaFlushAck).  Wire packets in that band bypass tag matching entirely:
 /// deliver_packet hands them to the registered sink, which applies them in
-/// engine context (poll source or PIOMan ltask — never a posted recv).
+/// engine context (a poll loop or PIOMan progress source — never a posted
+/// recv).
 /// Implemented by rma::Engine.
 class RmaSink {
  public:
@@ -161,6 +162,12 @@ class Core {
   /// is queued.
   [[nodiscard]] std::optional<std::pair<unsigned, Tag>> pop_rpc_pending();
 
+  /// Engine context: when pop_rpc_pending() would return nullopt without
+  /// spinning on a lock, report its lock traffic and return true;
+  /// otherwise return false and report nothing.  The RPC engine's empty
+  /// poll (piom::Server::Source::poll_empty).
+  [[nodiscard]] bool pop_rpc_pending_empty();
+
   /// Attach a continuation to `req` instead of wait()ing on it: `fn` runs
   /// exactly once when the request completes — possibly immediately, if it
   /// already has — and the request is recycled right before `fn` executes
@@ -207,8 +214,8 @@ class Core {
   }
 
   /// One progression round: drain NIC events, advance protocol state.
-  /// Returns true if anything happened.  Exposed for PIOMan's ltask and
-  /// for baseline wait loops.
+  /// Returns true if anything happened.  Exposed for PIOMan's progress
+  /// source and for baseline wait loops.
   bool progress(marcel::Cpu& cpu);
 
   /// The app-driven wait loop every baseline wait shares: until `done()`
@@ -227,7 +234,7 @@ class Core {
       const bool progressed = poll(marcel::this_thread::cpu());
       if (done() || progressed || cfg_.app_poll_gap == 0) continue;
       if (server_ != nullptr) {
-        // PIOMan has wake sources of its own (ltasks, interrupts): step.
+        // PIOMan has wake sources of its own (sources, interrupts): step.
         marcel::this_thread::compute(cfg_.app_poll_gap);
       } else {
         marcel::this_thread::cpu().spin_wait(cfg_.app_poll_gap, deadline);
@@ -364,6 +371,11 @@ class Core {
   /// enabled (and the destination is remote), straight to the NIC otherwise.
   void send_packet(unsigned dst, unsigned rail, std::vector<std::byte>&& pkt);
 
+  /// True when a packet or RDMA completion waits on any rail.
+  [[nodiscard]] bool rx_pending() const;
+  /// Engine context: progress()'s empty poll (Source::poll_empty).
+  bool progress_empty();
+
   void handle_event(net::RxEvent ev);
   void deliver_packet(unsigned src, std::span<const std::byte> pkt);
   void handle_eager(unsigned src, const WireHeader& hdr,
@@ -413,8 +425,7 @@ class Core {
   std::uint64_t coll_tag_cursor_ = 0;  // next unused offset into the band
   std::size_t rpc_unexpected_ = 0;     // buffered unexpecteds on rpc band
 
-  int ltask_id_ = 0;
-  int probe_id_ = 0;
+  int source_id_ = 0;  // PIOMan progress source
 
   std::deque<std::unique_ptr<Request>> pool_;
   std::vector<Request*> freelist_;

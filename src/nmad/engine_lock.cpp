@@ -46,6 +46,16 @@ void EngineLock::unlock() {
   cpu->preempt_enable();
 }
 
+void EngineLock::note_engine_acquire() const noexcept {
+  PM2_ASSERT(owner_ == nullptr && sim::Fiber::current() == nullptr);
+  lockdep_hook::acquired(this, "nm::EngineLock", false);
+}
+
+void EngineLock::note_engine_release() const noexcept {
+  PM2_ASSERT(owner_ == nullptr && sim::Fiber::current() == nullptr);
+  lockdep_hook::released(this);
+}
+
 bool EngineLock::held_by_caller() const noexcept {
   return owner_ != nullptr && owner_ == sim::Fiber::current();
 }

@@ -49,6 +49,16 @@ class EngineLock {
   /// True when the calling fiber is the current owner.
   [[nodiscard]] bool held_by_caller() const noexcept;
 
+  /// True when nobody holds the lock: lock() would not spin.
+  [[nodiscard]] bool free() const noexcept { return owner_ == nullptr; }
+
+  /// Engine context, lock free: report to the lock observers the
+  /// uncontended lock() / unlock() that a fiber at this instant would
+  /// make (its preempt_disable()/enable() pair nets to nothing).  An
+  /// empty poll replays its lock traffic through these.
+  void note_engine_acquire() const noexcept;
+  void note_engine_release() const noexcept;
+
  private:
   const void* owner_ = nullptr;  // sim::Fiber token
   unsigned depth_ = 0;

@@ -59,6 +59,24 @@ std::optional<std::pair<unsigned, Tag>> Store::pop_rpc_pending() {
   return std::nullopt;
 }
 
+bool Store::rpc_pending_idle() const noexcept {
+  for (const auto& sh : shards_) {
+    if (!sh->rpc_pending.empty()) return false;
+    if (sh->lock != nullptr && !sh->lock->free()) return false;
+  }
+  return true;
+}
+
+void Store::note_empty_rpc_pop() const noexcept {
+  const unsigned n = shard_count();
+  for (unsigned i = 0; i < n; ++i) {
+    if (const EngineLock* lock = shards_[(rpc_cursor_ + i) % n]->lock.get()) {
+      lock->note_engine_acquire();
+      lock->note_engine_release();
+    }
+  }
+}
+
 void Store::bind_metrics(MetricsRegistry& registry,
                          std::string_view prefix) const {
   for (unsigned s = 0; s < shard_count(); ++s) {

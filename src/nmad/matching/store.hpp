@@ -192,6 +192,13 @@ class Store {
   /// a popped entry always refers to a message still in the store.
   [[nodiscard]] std::optional<std::pair<unsigned, Tag>> pop_rpc_pending();
 
+  /// True when pop_rpc_pending() would find every shard empty without
+  /// spinning on a shard lock.
+  [[nodiscard]] bool rpc_pending_idle() const noexcept;
+  /// Engine context, rpc_pending_idle(): report that empty pop's lock
+  /// traffic (each shard's guard, in its visiting order).
+  void note_empty_rpc_pop() const noexcept;
+
   /// Bind per-shard counters, the pending gauges and the live sequence
   /// cursor count ("flows") under "<prefix>/shard<s>/..." (prefix is the
   /// node's "nodeN/nm").

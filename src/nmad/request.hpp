@@ -8,7 +8,6 @@
 #include <span>
 
 #include "common/intrusive_list.hpp"
-#include "common/mpsc_queue.hpp"
 #include "core/cond.hpp"
 #include "nmad/flight.hpp"
 #include "nmad/wire.hpp"
@@ -72,8 +71,7 @@ struct Request {
   FlightRecord flight;
   bool flight_on = false;
 
-  ListHook hook;       // gate submission queue linkage
-  MpscHook mpsc_hook;  // gate posting-ring linkage (sharded matching mode)
+  ListHook hook;  // gate posting ring, then submission queue linkage
 
   [[nodiscard]] std::size_t size() const noexcept {
     return op == Op::kSend ? send_data.size() : recv_buf.size();

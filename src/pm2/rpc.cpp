@@ -23,14 +23,25 @@ namespace pm2::rpc {
 
 Engine::Engine(nm::Core& core) : core_(core) {
   if (piom::Server* server = core_.server(); server != nullptr) {
-    // Permanent poll source: unlike a collective (locally launched, so
-    // the ltask can be transient), an inbound RPC arrives unannounced.
-    // Quiescence is preserved because the work probe gates polling: with
-    // nothing buffered and nothing queued, idle cores park as usual.
-    ltask_id_ = server->register_ltask(
-        [this](marcel::Cpu&) { return drain(); });
-    probe_id_ = server->add_work_probe([this] {
-      return core_.rpc_unexpected() > 0 || !inbox_.empty();
+    // Permanent progress source: unlike a collective (locally launched,
+    // so its source can be transient), an inbound RPC arrives
+    // unannounced.  Quiescence is preserved because the work probe gates
+    // polling: with nothing buffered and nothing queued, idle cores park
+    // as usual.  An empty drain() takes the pending-queue locks, finds
+    // nothing and reaps finished handlers.
+    source_id_ = server->add_source({
+        .name = "rpc",
+        .poll = [this](marcel::Cpu&) { return drain(); },
+        .has_work =
+            [this] { return core_.rpc_unexpected() > 0 || !inbox_.empty(); },
+        .poll_empty =
+            [this] {
+              if (!inbox_.empty() || !core_.pop_rpc_pending_empty()) {
+                return false;
+              }
+              reap_handlers();
+              return true;
+            },
     });
   }
 }
@@ -44,8 +55,7 @@ Engine::~Engine() {
   PM2_ASSERT_MSG(completions_.empty(),
                  "rpc engine destroyed with registered completions");
   if (piom::Server* server = core_.server(); server != nullptr) {
-    server->unregister_ltask(ltask_id_);
-    server->remove_work_probe(probe_id_);
+    server->remove_source(source_id_);
   }
 }
 

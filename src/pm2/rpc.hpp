@@ -356,8 +356,7 @@ class Engine {
   std::vector<std::unique_ptr<InMsg>> in_pool_;
   std::vector<InMsg*> in_free_;
 
-  int ltask_id_ = 0;  // PIOMan poll source (0 = app-driven)
-  int probe_id_ = 0;  // PIOMan work probe
+  int source_id_ = 0;  // PIOMan progress source (0 = app-driven)
 
   Stats stats_;
   Log2Histogram* handler_ns_ = nullptr;   // registry-owned, when bound

@@ -2,6 +2,7 @@
 // tick-offload knob, method switching hysteresis.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "core/cond.hpp"
@@ -13,6 +14,12 @@ namespace pm2::piom {
 namespace {
 
 using marcel::this_thread::compute;
+
+/// A source with a poll callback only: no work probe and no engine-context
+/// empty poll, so every poll runs on the polling fiber.
+int add_poll(Server& server, std::function<bool(marcel::Cpu&)> poll) {
+  return server.add_source({.name = "test", .poll = std::move(poll)});
+}
 
 struct Machine {
   sim::Engine eng;
@@ -34,7 +41,7 @@ TEST(PiomPolicies, SinglePollerExclusivity) {
   // runs the poll loop (tasklet-style exclusivity, §2.1).
   Machine m(4);
   std::vector<unsigned> pollers;
-  m.server.register_ltask([&](marcel::Cpu& cpu) {
+  add_poll(m.server, [&](marcel::Cpu& cpu) {
     pollers.push_back(cpu.index());
     if (pollers.size() >= 20) {
       m.server.disarm();
@@ -57,13 +64,18 @@ TEST(PiomPolicies, WorkProbeKeepsPolling) {
   int probe_calls = 0;
   int polls = 0;
   bool external_work = true;
-  m.server.add_work_probe([&] {
-    ++probe_calls;
-    return external_work;
-  });
-  m.server.register_ltask([&](marcel::Cpu&) {
-    if (++polls >= 8) external_work = false;  // "queue drained"
-    return false;
+  m.server.add_source({
+      .name = "test",
+      .poll =
+          [&](marcel::Cpu&) {
+            if (++polls >= 8) external_work = false;  // "queue drained"
+            return false;
+          },
+      .has_work =
+          [&] {
+            ++probe_calls;
+            return external_work;
+          },
   });
   // No armed request — only the probe keeps the poller alive.
   m.node().spawn([&] { compute(10 * kUs); });
@@ -76,11 +88,15 @@ TEST(PiomPolicies, NotifyWorkWakesParkedCores) {
   Machine m(2);
   int polls = 0;
   bool have_work = false;
-  m.server.add_work_probe([&] { return have_work; });
-  m.server.register_ltask([&](marcel::Cpu&) {
-    ++polls;
-    have_work = false;
-    return true;
+  m.server.add_source({
+      .name = "test",
+      .poll =
+          [&](marcel::Cpu&) {
+            ++polls;
+            have_work = false;
+            return true;
+          },
+      .has_work = [&] { return have_work; },
   });
   // Let all cores park first, then signal external work.
   m.eng.schedule_at(50 * kUs, [&] {

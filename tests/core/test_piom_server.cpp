@@ -2,6 +2,7 @@
 // wait-path flush, ltask polling, Cond wakeups, detection-method switching.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "core/cond.hpp"
@@ -13,6 +14,12 @@ namespace pm2::piom {
 namespace {
 
 using marcel::this_thread::compute;
+
+/// A source with a poll callback only: no work probe and no engine-context
+/// empty poll, so every poll runs on the polling fiber.
+int add_poll(Server& server, std::function<bool(marcel::Cpu&)> poll) {
+  return server.add_source({.name = "test", .poll = std::move(poll)});
+}
 
 struct Machine {
   sim::Engine eng;
@@ -84,7 +91,7 @@ TEST(PiomServer, LtaskPolledWhileArmed) {
   Machine m(2);
   int polls = 0;
   bool completed = false;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     ++polls;
     if (polls >= 10 && !completed) {
       completed = true;
@@ -107,7 +114,7 @@ TEST(PiomServer, LtaskPolledWhileArmed) {
 TEST(PiomServer, NoPollingWhenDisarmed) {
   Machine m(2);
   int polls = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     ++polls;
     return false;
   });
@@ -141,7 +148,7 @@ TEST(PiomServer, CondWaitPollsWhileWaiting) {
   Machine m(1);
   Cond cond(m.server);
   int polls = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     if (++polls >= 5) {
       if (!cond.done()) {
         cond.signal();
@@ -204,7 +211,7 @@ TEST(PiomServer, InterruptWakesLwpAndPolls) {
   Machine m(1);
   int polls = 0;
   bool done = false;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     ++polls;
     if (!done) {
       done = true;
@@ -258,6 +265,78 @@ TEST(PiomServer, PostedOrderIsFifo) {
       marcel::Priority::kNormal, "app", 0);
   m.rt.engine().run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+
+TEST(PiomServer, SourceRemovedInAnEngineOpenedRoundIsSweptAtDepthZero) {
+  // Two sources; the second (a collective engine's, say) is removed by a
+  // completion inside the first's sixth burn, while that round — opened
+  // in engine context — is open: it is tombstoned, skipped for the rest
+  // of the round, and swept when the round closes.  Timings are the
+  // stepped loop's: rounds of 2 × 150 ns burns and a 300 ns gap from the
+  // wait at t = 500.
+  Machine m(1);
+  Cond cond(m.server);
+  bool packet = false;
+  int polls = 0;
+  int coll_polls = 0;
+  m.server.add_source({
+      .name = "nm",
+      .poll =
+          [&](marcel::Cpu&) {
+            ++polls;
+            if (!packet) return false;
+            packet = false;
+            cond.signal();
+            m.server.disarm();
+            return true;
+          },
+      .has_work = [&] { return packet; },
+      .poll_empty =
+          [&] {
+            if (packet) return false;
+            ++polls;
+            return true;
+          },
+  });
+  const int coll = m.server.add_source({
+      .name = "coll",
+      .poll =
+          [&](marcel::Cpu&) {
+            ++coll_polls;
+            return false;
+          },
+      .poll_empty =
+          [&] {
+            ++coll_polls;
+            return true;
+          },
+  });
+  std::size_t slots_at_removal = 0;
+  std::uint64_t engine_rounds_at_removal = 0;
+  SimTime woke_at = 0;
+  m.node().spawn([&] {
+    m.server.arm();
+    m.eng.schedule_at(500 + 5 * 600 + 75, [&] {
+      m.server.remove_source(coll);
+      slots_at_removal = m.server.source_slots();
+      engine_rounds_at_removal = m.node().cpu(0).stats().engine_polls;
+    });
+    m.eng.schedule_at(500 + 20 * kUs, [&] {
+      packet = true;
+      m.server.notify_work();
+    });
+    cond.wait();
+    woke_at = m.eng.now();
+  });
+  m.rt.engine().run();
+  EXPECT_EQ(engine_rounds_at_removal, 5u) << "rounds 2-6 opened in engine";
+  EXPECT_EQ(slots_at_removal, 2u) << "removed mid-round: tombstoned";
+  EXPECT_EQ(m.server.source_slots(), 1u) << "swept once no round is open";
+  EXPECT_EQ(coll_polls, 5);
+  EXPECT_EQ(polls, 44);
+  EXPECT_EQ(woke_at, 20750u);
+  EXPECT_EQ(m.server.stats().poll_rounds, 44u);
 }
 
 }  // namespace

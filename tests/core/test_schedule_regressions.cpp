@@ -12,6 +12,7 @@
 // lands at many offsets inside it.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "core/cond.hpp"
@@ -25,6 +26,12 @@ namespace pm2::piom {
 namespace {
 
 using marcel::this_thread::compute;
+
+/// A source with a poll callback only: no work probe and no engine-context
+/// empty poll, so every poll runs on the polling fiber.
+int add_poll(Server& server, std::function<bool(marcel::Cpu&)> poll) {
+  return server.add_source({.name = "test", .poll = std::move(poll)});
+}
 
 struct Machine {
   sim::Engine eng;
@@ -51,18 +58,18 @@ TEST(ScheduleRegression, LtaskMayUnregisterItselfMidRound) {
   Machine m(1);
   int runs1 = 0, runs2 = 0, runs3 = 0;
   int id2 = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     ++runs1;
     return false;
   });
-  id2 = m.server.register_ltask([&](marcel::Cpu&) {
+  id2 = add_poll(m.server, [&](marcel::Cpu&) {
     ++runs2;
     // Historical UB: erase shifted the vector under the range-for AND
     // destroyed this std::function while its body was still executing.
-    m.server.unregister_ltask(id2);
+    m.server.remove_source(id2);
     return true;
   });
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     ++runs3;
     return false;
   });
@@ -82,14 +89,14 @@ TEST(ScheduleRegression, LtaskMayUnregisterAPeerMidRound) {
   Machine m(1);
   int peer_runs = 0;
   int peer_id = 0;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     if (peer_id != 0) {
-      m.server.unregister_ltask(peer_id);
+      m.server.remove_source(peer_id);
       peer_id = 0;
     }
     return false;
   });
-  peer_id = m.server.register_ltask([&](marcel::Cpu&) {
+  peer_id = add_poll(m.server, [&](marcel::Cpu&) {
     ++peer_runs;
     return false;
   });
@@ -107,10 +114,10 @@ TEST(ScheduleRegression, LtaskMayRegisterANewOneMidRound) {
   Machine m(1);
   int new_runs = 0;
   bool registered = false;
-  m.server.register_ltask([&](marcel::Cpu&) {
+  add_poll(m.server, [&](marcel::Cpu&) {
     if (!registered) {
       registered = true;
-      m.server.register_ltask([&](marcel::Cpu&) {
+      add_poll(m.server, [&](marcel::Cpu&) {
         ++new_runs;
         return false;
       });

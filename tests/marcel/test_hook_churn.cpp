@@ -80,26 +80,31 @@ TEST(HookChurn, ServerWorkProbesStayDenseAndReachable) {
   piom::Server server(m.node(), {});
   std::vector<int> ids;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(server.add_work_probe([] { return false; }));
+    ids.push_back(server.add_source({.name = "churn",
+                                     .poll = [](Cpu&) { return false; },
+                                     .has_work = [] { return false; }}));
     if (ids.size() > 4) {
-      server.remove_work_probe(ids.front());
+      server.remove_source(ids.front());
       ids.erase(ids.begin());
     }
-    EXPECT_LE(server.work_probe_slots(), 5u);
+    EXPECT_LE(server.source_slots(), 5u);
   }
   bool probed = false;
-  const int live = server.add_work_probe([&] {
-    probed = true;
-    return false;
-  });
-  // The server's idle hook consults every live probe (has_work) even
-  // after the churn: run a short thread so the cpus go idle at least once.
+  const int live = server.add_source({.name = "live",
+                                      .poll = [](Cpu&) { return false; },
+                                      .has_work = [&] {
+                                        probed = true;
+                                        return false;
+                                      }});
+  // The server's idle hook consults every live source's work probe
+  // (has_work) even after the churn: run a short thread so the cpus go
+  // idle at least once.
   m.node().spawn([] { this_thread::compute(10 * kUs); });
   m.eng.run();
   EXPECT_TRUE(probed);
-  server.remove_work_probe(live);
-  for (const int id : ids) server.remove_work_probe(id);
-  EXPECT_EQ(server.work_probe_slots(), 0u);
+  server.remove_source(live);
+  for (const int id : ids) server.remove_source(id);
+  EXPECT_EQ(server.source_slots(), 0u);
   server.shutdown();
 }
 

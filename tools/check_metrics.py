@@ -19,7 +19,11 @@ band advanced in lockstep on every node.  With --expect-locks,
 additionally asserts that the lock profiler and core-state timeline are
 present and consistent: every node carries engine-lock acq/contended
 counters with wait/hold histograms whose totals match, and every core's
-five time-in-state counters sum exactly to the simulated time.  With
+five time-in-state counters sum exactly to the simulated time; and that
+every PIOMan node reports its progress sources
+(nodeN/piom/source/<name>/{polls,hits}, hits <= polls) and per-core
+nodeN/cpuC/engine_polls, whose sum is at most the summed
+nodeN/piom/poll/rounds.  With
 --expect-rpc, additionally asserts that the RPC layer ran and conserved
 its work: globally every issued call was dispatched exactly once and
 every signal sent was delivered; per node every dispatch spawned a
@@ -215,9 +219,46 @@ def check_locks(path: str, doc: dict) -> None:
         if total != sim_ns:
             fail(f"{path}: {core} states sum to {total} ns, "
                  f"expected {sim_ns} ns")
+    # PIOMan progress sources: every node with a server reports each
+    # source's polls and hits (hits <= polls), and the rounds cores opened
+    # in engine context are a subset of the server's poll rounds.
+    servers = sorted({name.split("/")[0] for name in counters
+                      if name.startswith("node") and
+                      name.endswith("/piom/poll/rounds")})
+    if not servers:
+        fail(f"{path}: no nodeN/piom/poll/rounds counters (PIOMan off?)")
+    total_rounds = total_engine = 0
+    sources = set()
+    for node in servers:
+        polls = {name[len(f"{node}/piom/source/"):-len("/polls")]: v
+                 for name, v in counters.items()
+                 if name.startswith(f"{node}/piom/source/")
+                 and name.endswith("/polls")}
+        if not polls:
+            fail(f"{path}: {node} reports no piom/source/<name>/polls")
+        for src, n in polls.items():
+            hits = counters.get(f"{node}/piom/source/{src}/hits")
+            if not isinstance(n, int) or not isinstance(hits, int):
+                fail(f"{path}: {node}/piom/source/{src} polls/hits missing")
+            if hits > n:
+                fail(f"{path}: {node}/piom/source/{src}: {hits} hits > "
+                     f"{n} polls")
+            sources.add(src)
+        total_rounds += counters[f"{node}/piom/poll/rounds"]
+        engine = [v for name, v in counters.items()
+                  if name.startswith(f"{node}/cpu")
+                  and name.endswith("/engine_polls")]
+        if not engine:
+            fail(f"{path}: {node} has no cpuC/engine_polls counters")
+        total_engine += sum(engine)
+    if total_engine > total_rounds:
+        fail(f"{path}: {total_engine} rounds opened in engine context > "
+             f"{total_rounds} poll rounds")
     print(f"check_metrics: {path}: locks ok ({total_acq} engine-lock acq, "
           f"{total_contended} contended on {len(nodes)} nodes; "
-          f"{len(cores)} cores' state buckets sum to {sim_ns} ns)")
+          f"{len(cores)} cores' state buckets sum to {sim_ns} ns; "
+          f"{total_engine} of {total_rounds} poll rounds opened in engine "
+          f"context, sources {', '.join(sorted(sources))})")
 
 
 def check_rpc(path: str, doc: dict) -> None:
