@@ -1,7 +1,6 @@
 #include "marcel/lock_profile.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -9,7 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/lockdep_hook.hpp"
+#include "common/assert.hpp"
 #include "common/metrics.hpp"
 #include "marcel/cpu.hpp"
 #include "sim/engine.hpp"
@@ -37,25 +36,19 @@ struct Site {
   bool named = false;
   SiteStats st;
   bool held = false;
-  std::uint64_t hold_start = 0;
-  bool hold_sim = false;
+  SimTime hold_start = 0;
 };
 
-/// A timestamp plus its clock domain (virtual core vs host thread).
-struct Stamp {
-  std::uint64_t ns = 0;
-  bool sim = false;
-};
-
-// Waiters are keyed by (lock, host thread, fiber): several real threads —
-// or several fibers of the simulation — can be pending on one lock at
-// once, and a fiber keeps its identity across core migrations.
+// Waiters are keyed by (lock, host thread, fiber): several fibers can be
+// pending on one lock at once, a fiber keeps its identity across core
+// migrations, and two host threads each driving their own engine stay
+// apart.
 using WaitKey = std::tuple<const void*, std::thread::id, const void*>;
 
 struct State {
   std::mutex mu;
   std::unordered_map<const void*, Site> sites;
-  std::map<WaitKey, Stamp> pending;
+  std::map<WaitKey, SimTime> pending;
 };
 
 State& state() {
@@ -65,14 +58,13 @@ State& state() {
 
 std::atomic<int> g_enabled{0};
 
-Stamp stamp_now() noexcept {
-  if (marcel::Cpu* cpu = marcel::detail::current_cpu()) {
-    return {cpu->engine().now(), true};
-  }
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return {static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t).count()),
-          false};
+// Every instrumented lock runs on a virtual core (engine-context lock
+// traffic included: it stands in for a fiber on a core).
+SimTime stamp_now() noexcept {
+  marcel::Cpu* cpu = marcel::detail::current_cpu();
+  PM2_ASSERT_MSG(cpu != nullptr,
+                 "lock event outside a virtual core: no simulated clock");
+  return cpu->engine().now();
 }
 
 WaitKey wait_key(const void* lock) noexcept {
@@ -99,18 +91,6 @@ void reset_locked(State& s) {
   }
 }
 
-// Hook-vtable forwarding (installed while enabled).
-void hook_contended(const void* lock, const char* cls) {
-  note_contended(lock, cls);
-}
-void hook_acquired(const void* lock, const char* cls, bool contended) {
-  note_acquired(lock, cls, contended);
-}
-void hook_released(const void* lock) { note_released(lock); }
-
-constexpr lockdep_hook::Vtbl kVtbl{&hook_contended, &hook_acquired,
-                                   &hook_released};
-
 }  // namespace
 
 void enable() {
@@ -118,16 +98,13 @@ void enable() {
   std::lock_guard<std::mutex> g(s.mu);
   if (g_enabled.fetch_add(1, std::memory_order_relaxed) == 0) {
     reset_locked(s);
-    lockdep_hook::set_hook(lockdep_hook::Slot::kProfiler, &kVtbl);
   }
 }
 
 void disable() {
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);
-  if (g_enabled.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    lockdep_hook::set_hook(lockdep_hook::Slot::kProfiler, nullptr);
-  }
+  g_enabled.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool enabled() noexcept {
@@ -156,7 +133,7 @@ void unregister_site(const void* lock) {
 
 void note_contended(const void* lock, const char* /*lock_class*/) {
   if (!enabled()) return;
-  const Stamp now = stamp_now();
+  const SimTime now = stamp_now();
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);
   s.pending[wait_key(lock)] = now;
@@ -164,7 +141,7 @@ void note_contended(const void* lock, const char* /*lock_class*/) {
 
 void note_acquired(const void* lock, const char* lock_class, bool contended) {
   if (!enabled()) return;
-  const Stamp now = stamp_now();
+  const SimTime now = stamp_now();
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);
   Site& site = site_for(s, lock, lock_class);
@@ -172,29 +149,23 @@ void note_acquired(const void* lock, const char* lock_class, bool contended) {
   if (contended) ++site.st.contended;
   if (const auto it = s.pending.find(wait_key(lock));
       it != s.pending.end()) {
-    const Stamp start = it->second;
+    site.st.wait_us.add((now - it->second) / 1000);
     s.pending.erase(it);
-    if (start.sim == now.sim && now.ns >= start.ns) {
-      site.st.wait_us.add((now.ns - start.ns) / 1000);
-    }
   }
   site.held = true;
-  site.hold_start = now.ns;
-  site.hold_sim = now.sim;
+  site.hold_start = now;
 }
 
 void note_released(const void* lock) {
   if (!enabled()) return;
-  const Stamp now = stamp_now();
+  const SimTime now = stamp_now();
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);
   const auto it = s.sites.find(lock);
   if (it == s.sites.end() || !it->second.held) return;
   Site& site = it->second;
   site.held = false;
-  if (site.hold_sim == now.sim && now.ns >= site.hold_start) {
-    site.st.hold_us.add((now.ns - site.hold_start) / 1000);
-  }
+  site.st.hold_us.add((now - site.hold_start) / 1000);
 }
 
 std::vector<SiteSnapshot> snapshot() {

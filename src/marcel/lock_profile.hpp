@@ -1,5 +1,6 @@
-// Lock-contention profiler: the second observer riding the
-// common/lockdep_hook vtable (the first is the lockdep checker).
+// Lock-contention profiler.  The instrumented locks (nm::EngineLock,
+// the shard locks, marcel::Mutex) report to it directly, next to their
+// lockdep calls.
 //
 // Per lock site — an instance registered under an explicit name (e.g.
 // "node0/locks/engine"), or, for anonymous instances, the lock class
@@ -8,15 +9,13 @@
 // values).  Wait samples are recorded for contended acquisitions only, so
 // the wait histogram's total equals the contended count.
 //
-// Durations come from simulation time when the caller runs on a virtual
-// core (the normal case: the engine lock, marcel::Mutex) and from the host
-// monotonic clock on real threads (the host-side spinlock benches).  A
-// sample whose start and end fall in different clock domains is dropped.
+// Durations are simulation time: every lock event must come from a
+// virtual core (a fiber on it, or engine context acting for one).
 //
 // Enabling is reference-counted; pm2::Cluster enables the profiler for its
-// lifetime, so it is on in every test.  Disabled cost at the primitives:
-// one relaxed atomic load per event (see lockdep_hook).  The first
-// enable() after the count drops to zero resets all statistics.
+// lifetime, so it is on in every test.  Disabled cost at the locks: one
+// relaxed atomic load per event.  The first enable() after the count
+// drops to zero resets all statistics.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +30,8 @@ class MetricsRegistry;
 
 namespace pm2::lock_profile {
 
-/// Enable/disable (reference-counted).  enable() installs the hook when
-/// the count goes 0 -> 1 and resets statistics; disable() removes it at
-/// 1 -> 0.
+/// Enable/disable (reference-counted).  enable() resets statistics when
+/// the count goes 0 -> 1; events are ignored while the count is 0.
 void enable();
 void disable();
 [[nodiscard]] bool enabled() noexcept;
@@ -47,9 +45,12 @@ void reset();
 void register_site(const void* lock, std::string name);
 void unregister_site(const void* lock);
 
-/// Direct instrumentation entry points, for primitives that do not go
-/// through the common hook (marcel::Mutex, whose checker protocol differs)
-/// and for the hook vtable itself.
+/// Instrumentation entry points, called by the locks themselves:
+///   * note_contended — the fast path failed; the caller will spin or
+///     block.  At most once per acquisition.
+///   * note_acquired — the lock is now held; `contended` repeats whether
+///     note_contended preceded it.
+///   * note_released — the lock was released.
 void note_contended(const void* lock, const char* lock_class);
 void note_acquired(const void* lock, const char* lock_class, bool contended);
 void note_released(const void* lock);

@@ -13,16 +13,16 @@
 #include <utility>
 #include <vector>
 
-#include "common/lockdep_hook.hpp"
 #include "sim/fiber.hpp"
 
 namespace pm2::lockdep {
 namespace {
 
-// An execution context is a (host thread, fiber) pair: real host threads
-// exercising the common/ primitives have no fiber; simulated threads,
+// An execution context is a (host thread, fiber) pair: simulated threads,
 // service fibers and LWPs are distinguished by their fiber even though
-// they share one host thread (marcel locks are held across suspensions).
+// they share one host thread (marcel locks are held across suspensions);
+// engine context is the null fiber; and two host threads each driving
+// their own engine stay apart.
 using CtxKey = std::pair<std::thread::id, const void*>;
 
 CtxKey current_ctx() {
@@ -118,8 +118,7 @@ bool find_path(const State& s, const void* from, const void* to,
 
 // Add the edge held→acquiring and flag the cycle it would close.  Must be
 // called with mu held.
-void add_edge(State& s, const HeldLock& held, const void* lock,
-              const char* cls) {
+void add_edge(State& s, const HeldLock& held, const void* lock) {
   LockNode& from = s.locks[held.lock];
   if (!from.out.insert(lock).second) return;  // known edge: already checked
   std::vector<const void*> path;
@@ -132,12 +131,11 @@ void add_edge(State& s, const HeldLock& held, const void* lock,
       detail += " -> ";
     }
     detail += lock_str(s, lock);
-    (void)cls;
     record_violation(s, "lock-order", std::move(detail));
   }
 }
 
-void do_acquire(const void* lock, const char* cls, bool spin, bool push) {
+void do_acquire(const void* lock, const char* cls, bool spin) {
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);
   LockNode& n = s.locks[lock];
@@ -151,34 +149,14 @@ void do_acquire(const void* lock, const char* cls, bool spin, bool push) {
                            " it already holds");
       return;
     }
-    add_edge(s, h, lock, cls);
+    add_edge(s, h, lock);
   }
-  if (push) ctx.held.push_back({lock, cls, spin});
+  ctx.held.push_back({lock, cls, spin});
 }
-
-// Spinlock-side hook table (installed while enabled).  The checker cares
-// about ordering, not contention, so contended() events are ignored.
-void hook_contended(const void*, const char*) {}
-
-void hook_acquired(const void* lock, const char* cls, bool /*contended*/) {
-  if (g_enabled.load(std::memory_order_relaxed)) {
-    do_acquire(lock, cls, /*spin=*/true, /*push=*/true);
-  }
-}
-
-void hook_released(const void* lock) {
-  if (g_enabled.load(std::memory_order_relaxed)) released(lock);
-}
-
-constexpr lockdep_hook::Vtbl kVtbl{&hook_contended, &hook_acquired,
-                                   &hook_released};
 
 }  // namespace
 
-void enable(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-  lockdep_hook::set_hook(lockdep_hook::Slot::kChecker, on ? &kVtbl : nullptr);
-}
+void enable(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
@@ -201,7 +179,12 @@ void reset() {
 
 void acquired(const void* lock, const char* lock_class) {
   if (!enabled()) return;
-  do_acquire(lock, lock_class, /*spin=*/false, /*push=*/true);
+  do_acquire(lock, lock_class, /*spin=*/false);
+}
+
+void spin_acquired(const void* lock, const char* lock_class) {
+  if (!enabled()) return;
+  do_acquire(lock, lock_class, /*spin=*/true);
 }
 
 void released(const void* lock) {

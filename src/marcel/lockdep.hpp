@@ -25,8 +25,8 @@
 // Scope/limitations: the lock graph is keyed by instance address and is
 // never pruned — call reset() between independent runs (the fuzz harness
 // does, per seed) so address reuse cannot stitch stale edges together.
-// Checking is process-global and thread-safe (the common/ primitives are
-// exercised by real host threads in tests).
+// Checking is process-global and thread-safe (separate host threads may
+// each drive their own engine).
 #pragma once
 
 #include <cstddef>
@@ -40,8 +40,8 @@ struct Violation {
   std::string detail;  // human-readable description with names/addresses
 };
 
-/// Master switch.  Enabling installs the common/ spinlock hooks; disabling
-/// removes them.  State (graph, violations) survives disable; use reset().
+/// Master switch.  While disabled every entry point returns at once.
+/// State (graph, violations) survives disable; use reset().
 void enable(bool on);
 [[nodiscard]] bool enabled() noexcept;
 
@@ -51,11 +51,14 @@ void set_fail_fast(bool on) noexcept;
 /// Drop all recorded state: lock graph, held stacks, violations.
 void reset();
 
-// ---- lock instrumentation (also reachable via common/lockdep_hook) ----
+// ---- lock instrumentation ----
 
 /// The calling context finished acquiring `lock`.  Adds held→lock edges to
 /// the order graph and checks for cycles.
 void acquired(const void* lock, const char* lock_class);
+/// As acquired(), for a spin-class lock (nm::EngineLock, the shard
+/// locks): the context must not block while holding it.
+void spin_acquired(const void* lock, const char* lock_class);
 /// The calling context released `lock`.
 void released(const void* lock);
 

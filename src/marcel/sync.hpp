@@ -1,6 +1,6 @@
 // Blocking synchronisation primitives for simulated threads.  These block
-// the *virtual* thread (the CPU schedules something else); they are distinct
-// from pm2::Spinlock, which spins real host threads.
+// the *virtual* thread (the CPU schedules something else); the spin-class
+// lock of the engine is nm::EngineLock, which burns virtual CPU instead.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,27 @@
 #include "nmad/engine_lock.hpp"
 
 #include "common/assert.hpp"
-#include "common/lockdep_hook.hpp"
 #include "marcel/cpu.hpp"
+#include "marcel/lock_profile.hpp"
+#include "marcel/lockdep.hpp"
 #include "sim/fiber.hpp"
 
 namespace pm2::nm {
+namespace {
+
+constexpr const char* kClass = "nm::EngineLock";
+
+void report_acquired(const void* lock, bool contended) {
+  lockdep::spin_acquired(lock, kClass);
+  lock_profile::note_acquired(lock, kClass, contended);
+}
+
+void report_released(const void* lock) {
+  lockdep::released(lock);
+  lock_profile::note_released(lock);
+}
+
+}  // namespace
 
 void EngineLock::lock() {
   const sim::Fiber* self = sim::Fiber::current();
@@ -20,7 +36,7 @@ void EngineLock::lock() {
   while (owner_ != nullptr) {
     if (!contended) {
       contended = true;
-      lockdep_hook::contended(this, "nm::EngineLock");
+      lock_profile::note_contended(this, kClass);
     }
     // Burn spin granules; the holder runs on another core (it cannot be
     // preempted while holding) and eventually releases.  Granules that
@@ -32,7 +48,7 @@ void EngineLock::lock() {
   marcel::Cpu* cpu = marcel::detail::current_cpu();
   PM2_ASSERT(cpu != nullptr);
   cpu->preempt_disable();
-  lockdep_hook::acquired(this, "nm::EngineLock", contended);
+  report_acquired(this, contended);
 }
 
 void EngineLock::unlock() {
@@ -40,7 +56,7 @@ void EngineLock::unlock() {
                  "EngineLock released by a non-owner");
   if (--depth_ > 0) return;
   owner_ = nullptr;
-  lockdep_hook::released(this);
+  report_released(this);
   marcel::Cpu* cpu = marcel::detail::current_cpu();
   PM2_ASSERT(cpu != nullptr);
   cpu->preempt_enable();
@@ -48,12 +64,12 @@ void EngineLock::unlock() {
 
 void EngineLock::note_engine_acquire() const noexcept {
   PM2_ASSERT(owner_ == nullptr && sim::Fiber::current() == nullptr);
-  lockdep_hook::acquired(this, "nm::EngineLock", false);
+  report_acquired(this, /*contended=*/false);
 }
 
 void EngineLock::note_engine_release() const noexcept {
   PM2_ASSERT(owner_ == nullptr && sim::Fiber::current() == nullptr);
-  lockdep_hook::released(this);
+  report_released(this);
 }
 
 bool EngineLock::held_by_caller() const noexcept {

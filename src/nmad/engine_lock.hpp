@@ -16,10 +16,9 @@
 //  - while held, preemption of the holder is disabled on its core — a
 //    holder parked on a runqueue behind a fiber spinning on this very
 //    lock would otherwise livelock the virtual machine;
-//  - acquisition/release events go through common/lockdep_hook, so the
-//    lockdep checker treats it as a spin-class lock (blocking while
-//    holding it is flagged) and the lock profiler records wait/hold
-//    histograms for free.
+//  - acquisition/release events go to the lockdep checker, as a
+//    spin-class lock (blocking while holding it is flagged), and to the
+//    lock profiler, which records wait/hold histograms.
 //
 // Engine-context completions (the modeled DMA-completion interrupt path,
 // e.g. the rdma-done fabric callback) run outside the lock: they execute

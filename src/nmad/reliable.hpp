@@ -29,12 +29,12 @@
 // runtime, onto "nodeN/reliability" Chrome-trace counter tracks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string_view>
 #include <vector>
 
-#include "common/backoff.hpp"
 #include "common/simtime.hpp"
 #include "nmad/config.hpp"
 #include "nmad/wire.hpp"
@@ -47,6 +47,30 @@ class MetricsRegistry;
 namespace pm2::nm {
 
 class Core;
+
+/// Bounded exponential delay for the retransmit timer: starts at
+/// `initial`, doubles per escalation, saturates at `max` (virtual ns).
+class ExpDelay {
+ public:
+  explicit ExpDelay(std::uint64_t initial = 1, std::uint64_t max = 1) noexcept
+      : initial_(initial), max_(std::max(initial, max)), cur_(initial) {}
+
+  [[nodiscard]] std::uint64_t current() const noexcept { return cur_; }
+
+  /// Return the current delay and escalate for the next round.
+  std::uint64_t next() noexcept {
+    const std::uint64_t c = cur_;
+    cur_ = std::min(max_, cur_ * 2);
+    return c;
+  }
+
+  void reset() noexcept { cur_ = initial_; }
+
+ private:
+  std::uint64_t initial_;
+  std::uint64_t max_;
+  std::uint64_t cur_;
+};
 
 class Reliability {
  public:

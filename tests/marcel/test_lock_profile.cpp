@@ -1,15 +1,16 @@
 // Lock-contention profiler: site naming, contended accounting, sim-time
-// wait/hold histograms, reset-on-enable, and idempotent metrics export.
+// wait/hold histograms, reset-on-enable, and idempotent metrics export,
+// all on simulated locks (marcel::Mutex, nm::EngineLock) on a virtual core.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/spinlock.hpp"
 #include "marcel/lock_profile.hpp"
 #include "marcel/runtime.hpp"
 #include "marcel/sync.hpp"
+#include "nmad/engine_lock.hpp"
 #include "sim/engine.hpp"
 
 namespace pm2 {
@@ -27,6 +28,18 @@ struct Machine {
   }
   marcel::Node& node() { return rt.node(0); }
 };
+
+/// Lock and release `lock` once from a thread of a one-core machine.
+template <typename Lock>
+void lock_once(Lock& lock) {
+  Machine m(1);
+  m.node().spawn([&] {
+    lock.lock();
+    marcel::this_thread::compute(kUs);
+    lock.unlock();
+  });
+  m.eng.run();
+}
 
 /// RAII enable so a failing assertion cannot leak the profiler into other
 /// tests.
@@ -46,21 +59,20 @@ const lock_profile::SiteSnapshot* find_site(
 
 TEST(LockProfile, DisabledRecordsNothing) {
   ASSERT_FALSE(lock_profile::enabled());
-  Spinlock sl;
-  sl.lock();
-  sl.unlock();
+  marcel::Mutex mu;
+  nm::EngineLock el(kUs);
+  lock_once(mu);
+  lock_once(el);
   EXPECT_TRUE(lock_profile::snapshot().empty());
 }
 
 TEST(LockProfile, AnonymousSitesAggregateByClass) {
   ProfilerOn on;
-  Spinlock a, b;
-  a.lock();
-  a.unlock();
-  b.lock();
-  b.unlock();
+  nm::EngineLock a(kUs), b(kUs);
+  lock_once(a);
+  lock_once(b);
   const auto sites = lock_profile::snapshot();
-  const auto* site = find_site(sites, "locks/pm2::Spinlock");
+  const auto* site = find_site(sites, "locks/nm::EngineLock");
   ASSERT_NE(site, nullptr);
   EXPECT_EQ(site->acq, 2u);
   EXPECT_EQ(site->contended, 0u);
@@ -70,22 +82,20 @@ TEST(LockProfile, AnonymousSitesAggregateByClass) {
 
 TEST(LockProfile, RegisteredSiteUsesItsName) {
   ProfilerOn on;
-  Spinlock sl;
-  lock_profile::register_site(&sl, "test/locks/special");
-  sl.lock();
-  sl.unlock();
+  marcel::Mutex mu;
+  lock_profile::register_site(&mu, "test/locks/special");
+  lock_once(mu);
   const auto sites = lock_profile::snapshot();
   EXPECT_NE(find_site(sites, "test/locks/special"), nullptr);
-  EXPECT_EQ(find_site(sites, "locks/pm2::Spinlock"), nullptr);
-  lock_profile::unregister_site(&sl);
+  EXPECT_EQ(find_site(sites, "locks/marcel::Mutex"), nullptr);
+  lock_profile::unregister_site(&mu);
 }
 
 TEST(LockProfile, ReenableResetsStatistics) {
   {
     ProfilerOn on;
-    Spinlock sl;
-    sl.lock();
-    sl.unlock();
+    marcel::Mutex mu;
+    lock_once(mu);
     EXPECT_FALSE(lock_profile::snapshot().empty());
   }
   ProfilerOn on;  // count went 0 -> 1 again: stats must be fresh
@@ -127,10 +137,9 @@ TEST(LockProfile, MutexContentionMeasuredInSimTime) {
 
 TEST(LockProfile, ExportIsIdempotent) {
   ProfilerOn on;
-  Spinlock sl;
-  lock_profile::register_site(&sl, "test/locks/exp");
-  sl.lock();
-  sl.unlock();
+  nm::EngineLock el(kUs);
+  lock_profile::register_site(&el, "test/locks/exp");
+  lock_once(el);
   MetricsRegistry reg;
   lock_profile::export_to(reg);
   lock_profile::export_to(reg);  // assignment, not accumulation
@@ -139,7 +148,7 @@ TEST(LockProfile, ExportIsIdempotent) {
   const Log2Histogram* hold = reg.find_histogram("test/locks/exp/hold_us");
   ASSERT_NE(hold, nullptr);
   EXPECT_EQ(hold->total(), 1u);
-  lock_profile::unregister_site(&sl);
+  lock_profile::unregister_site(&el);
 }
 
 }  // namespace

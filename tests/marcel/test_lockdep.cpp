@@ -1,18 +1,31 @@
 // Lockdep-style runtime checker: lock-order cycles, tasklet reentrancy,
 // engine-context discipline, lost-wakeup detection — and the wiring into
-// the real primitives (pm2::Spinlock via the hook table, marcel::Mutex).
+// the simulated locks (nm::EngineLock as spin-class, marcel::Mutex).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
-#include "common/spinlock.hpp"
 #include "marcel/lockdep.hpp"
 #include "marcel/runtime.hpp"
 #include "marcel/sync.hpp"
+#include "nmad/engine_lock.hpp"
 #include "sim/engine.hpp"
 
 namespace pm2::lockdep {
 namespace {
+
+/// Run each body as a thread of a one-node machine with `cpus` cores.
+void run_threads(unsigned cpus, std::vector<std::function<void()>> bodies) {
+  sim::Engine eng;
+  marcel::Config cfg;
+  cfg.nodes = 1;
+  cfg.cpus_per_node = cpus;
+  marcel::Runtime rt(eng, cfg);
+  for (auto& body : bodies) rt.node(0).spawn(std::move(body));
+  eng.run();
+}
 
 TEST(Lockdep, DisabledByDefaultAndFreeOfCharge) {
   ASSERT_FALSE(enabled());
@@ -87,42 +100,45 @@ TEST(Lockdep, DetectsRecursiveAndUnbalanced) {
 
 TEST(Lockdep, SpinlockHookIsWired) {
   Session session;
-  Spinlock a, b;
-  {
+  nm::EngineLock a(kUs), b(kUs);
+  std::size_t after_ab = 0;
+  run_threads(1, {[&] {
     a.lock();
     b.lock();
     b.unlock();
     a.unlock();
-  }
-  EXPECT_EQ(violation_count(), 0u);
-  {
+    after_ab = violation_count();
     b.lock();
     a.lock();
     a.unlock();
     b.unlock();
-  }
+  }});
+  EXPECT_EQ(after_ab, 0u);
   ASSERT_EQ(violation_count(), 1u) << report();
   EXPECT_EQ(violations()[0].kind, "lock-order");
-  EXPECT_NE(violations()[0].detail.find("pm2::Spinlock"), std::string::npos);
+  EXPECT_NE(violations()[0].detail.find("nm::EngineLock"), std::string::npos);
 }
 
 TEST(Lockdep, HookUninstalledAfterDisable) {
+  nm::EngineLock a(kUs), b(kUs), c(kUs);
   {
     Session session;
-    Spinlock a;
-    a.lock();
-    a.unlock();
+    run_threads(1, {[&] {
+      a.lock();
+      a.unlock();
+    }});
   }
   reset();
-  Spinlock b, c;
-  c.lock();
-  b.lock();
-  b.unlock();
-  c.unlock();
-  b.lock();
-  c.lock();  // would be an inversion if the checker were still attached
-  c.unlock();
-  b.unlock();
+  run_threads(1, {[&] {
+    c.lock();
+    b.lock();
+    b.unlock();
+    c.unlock();
+    b.lock();
+    c.lock();  // would be an inversion if the checker were still attached
+    c.unlock();
+    b.unlock();
+  }});
   EXPECT_EQ(violation_count(), 0u);
 }
 
@@ -157,13 +173,24 @@ TEST(Lockdep, SuspensionInsideEngineContextDetected) {
 }
 
 TEST(Lockdep, BlockingWhileHoldingSpinlockDetected) {
+  // One core, so the blocked holder resumes where it disabled preemption.
   Session session;
-  Spinlock l;
-  l.lock();
-  note_suspension(/*blocking=*/true);
-  l.unlock();
+  nm::EngineLock l(kUs);
+  marcel::Mutex m;
+  run_threads(1, {[&] {
+                    m.lock();
+                    marcel::this_thread::sleep(10 * kUs);
+                    m.unlock();
+                  },
+                  [&] {
+                    l.lock();
+                    m.lock();  // contended: blocks while holding `l`
+                    m.unlock();
+                    l.unlock();
+                  }});
   ASSERT_EQ(violation_count(), 1u) << report();
   EXPECT_EQ(violations()[0].kind, "block-holding-spinlock");
+  EXPECT_NE(violations()[0].detail.find("nm::EngineLock"), std::string::npos);
 }
 
 TEST(Lockdep, CheckBlockFlagsLostWakeup) {

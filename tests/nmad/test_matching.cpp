@@ -153,9 +153,9 @@ TEST_P(MatchingModes, ConcurrentInjectionSharedFlow) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, MatchingModes,
     ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) ? "Pioman" : "AppDriven") +
-             (std::get<1>(info.param) ? "Sharded" : "Single");
+    [](const auto& tp) {
+      return std::string(std::get<0>(tp.param) ? "Pioman" : "AppDriven") +
+             (std::get<1>(tp.param) ? "Sharded" : "Single");
     });
 
 // 200-seed schedule-fuzz sweep over the sharded path with lockdep watching

@@ -1,7 +1,7 @@
 // Reliable-delivery sublayer: exactly-once in-order delivery under seeded
 // drop/duplicate/reorder/corrupt fabrics, rendezvous handshake recovery
-// from lost RTS and lost CTS, abandonment under total loss, and counter
-// visibility in stats and the Chrome trace.
+// from lost RTS and lost CTS, abandonment under total loss, counter
+// visibility in stats and the Chrome trace, and the retransmit backoff.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -81,6 +81,32 @@ std::pair<Reliability::Stats, Reliability::Stats> run_bidirectional(
   EXPECT_EQ(cluster.comm(1).reliability()->unacked(), 0u);
   return {cluster.comm(0).reliability()->stats(),
           cluster.comm(1).reliability()->stats()};
+}
+
+TEST(ExpDelay, DoublesSaturatesAndResets) {
+  ExpDelay d(100, 1000);
+  EXPECT_EQ(d.current(), 100u);
+  EXPECT_EQ(d.next(), 100u);  // returns the delay, then escalates
+  EXPECT_EQ(d.current(), 200u);
+  EXPECT_EQ(d.next(), 200u);
+  EXPECT_EQ(d.next(), 400u);
+  EXPECT_EQ(d.next(), 800u);
+  EXPECT_EQ(d.next(), 1000u);  // 1600 saturates at max
+  EXPECT_EQ(d.next(), 1000u);
+  EXPECT_EQ(d.current(), 1000u);
+  d.reset();
+  EXPECT_EQ(d.current(), 100u);
+  EXPECT_EQ(d.next(), 100u);
+  EXPECT_EQ(d.current(), 200u);
+}
+
+TEST(ExpDelay, InitialAboveMaxClampsToInitial) {
+  ExpDelay d(500, 100);  // max is raised to initial
+  EXPECT_EQ(d.next(), 500u);
+  EXPECT_EQ(d.next(), 500u);
+  EXPECT_EQ(d.current(), 500u);
+  d.reset();
+  EXPECT_EQ(d.current(), 500u);
 }
 
 TEST(Reliability, CleanFabricNoRetransmits) {
