@@ -16,6 +16,10 @@ class Server;
 class Cond {
  public:
   explicit Cond(Server& server) noexcept : server_(&server) {}
+  /// `server` may be null: such a condition only tracks done(), and
+  /// wait()/wait_for() must not be called on it (nm::Request embeds one
+  /// in app-driven mode, where waits poll instead).
+  explicit Cond(Server* server) noexcept : server_(server) {}
 
   Cond(const Cond&) = delete;
   Cond& operator=(const Cond&) = delete;

@@ -43,7 +43,9 @@ namespace pm2::nm::coll {
 
 using Algo = CollAlgo;
 
-/// One primitive node of a schedule DAG.
+/// One primitive node of a schedule DAG.  A schedule holds one per
+/// send/recv/reduce/copy (2n−1 for an n-rank ring allgather), so the
+/// buffers are one pointer pair plus a byte length shared by every kind.
 struct Op {
   enum class Kind : std::uint8_t { kSend, kRecv, kReduce, kCopy };
 
@@ -51,17 +53,22 @@ struct Op {
   std::uint16_t round = 0;  // stage-stamp bucket (CollRequest::rounds())
   unsigned peer = 0;        // send/recv: remote rank
   Tag tag = 0;              // send/recv: wire tag (unique per matched pair)
+  std::uint32_t deps = 0;   // unsatisfied predecessor count
 
-  std::span<const std::byte> src;   // send payload / copy source
-  std::span<std::byte> dst;         // recv buffer / copy destination
-  std::span<const double> red_src;  // reduce: addend
-  std::span<double> red_dst;        // reduce: accumulator (dst += src)
+  // send: src; recv: dst; copy: src → dst; reduce: dst += src, both read
+  // as len / sizeof(double) doubles.
+  const std::byte* src = nullptr;
+  std::byte* dst = nullptr;
+  std::size_t len = 0;  // bytes
 
-  std::uint32_t deps = 0;           // unsatisfied predecessor count
-  std::uint64_t span = 0;           // causal-trace coll.op span (0 = off)
+  std::uint64_t span = 0;  // causal-trace coll.op span (0 = off)
 };
 
+static_assert(sizeof(Op) <= 48, "coll::Op is allocated per DAG node");
+
 inline constexpr std::uint32_t kNoOp = 0xffffffffu;
+
+class Engine;
 
 /// A DAG under construction.  Builder methods return the op's index;
 /// dep(a, b) records "b cannot start before a completed" — used both for
@@ -132,6 +139,7 @@ class CollRequest {
  private:
   friend class Engine;
 
+  Engine* engine_ = nullptr;  // owner, for the ops' nm continuations
   Schedule sched_;
   std::vector<std::byte> scratch_;   // token/sink bytes (barrier)
   std::vector<double> scratch_d_;    // reduce inboxes
@@ -241,6 +249,9 @@ class Engine {
   bool drain();
   void execute(CollRequest* req, std::uint32_t idx);
   void op_done(CollRequest* req, std::uint32_t idx);
+  /// The nm continuation of a send/recv op: op_done(ctx, idx).
+  [[nodiscard]] static Continuation op_continuation(CollRequest* req,
+                                                    std::uint32_t idx);
   void finish(CollRequest* req);
   void charge_local(std::size_t bytes);
 

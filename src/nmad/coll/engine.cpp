@@ -27,9 +27,10 @@ std::uint32_t Schedule::send(unsigned peer, Tag tag,
   op.kind = Op::Kind::kSend;
   op.peer = peer;
   op.tag = tag;
-  op.src = data;
+  op.src = data.data();
+  op.len = data.size();
   op.round = round;
-  ops.push_back(std::move(op));
+  ops.push_back(op);
   return static_cast<std::uint32_t>(ops.size() - 1);
 }
 
@@ -40,9 +41,10 @@ std::uint32_t Schedule::recv(unsigned peer, Tag tag,
   op.kind = Op::Kind::kRecv;
   op.peer = peer;
   op.tag = tag;
-  op.dst = buffer;
+  op.dst = buffer.data();
+  op.len = buffer.size();
   op.round = round;
-  ops.push_back(std::move(op));
+  ops.push_back(op);
   return static_cast<std::uint32_t>(ops.size() - 1);
 }
 
@@ -52,10 +54,11 @@ std::uint32_t Schedule::reduce(std::span<double> acc,
   PM2_ASSERT(acc.size() == addend.size());
   Op op;
   op.kind = Op::Kind::kReduce;
-  op.red_dst = acc;
-  op.red_src = addend;
+  op.dst = std::as_writable_bytes(acc).data();
+  op.src = std::as_bytes(addend).data();
+  op.len = acc.size_bytes();
   op.round = round;
-  ops.push_back(std::move(op));
+  ops.push_back(op);
   return static_cast<std::uint32_t>(ops.size() - 1);
 }
 
@@ -65,10 +68,11 @@ std::uint32_t Schedule::copy(std::span<std::byte> dst,
   PM2_ASSERT(dst.size() >= src.size());
   Op op;
   op.kind = Op::Kind::kCopy;
-  op.dst = dst;
-  op.src = src;
+  op.dst = dst.data();
+  op.src = src.data();
+  op.len = src.size();
   op.round = round;
-  ops.push_back(std::move(op));
+  ops.push_back(op);
   return static_cast<std::uint32_t>(ops.size() - 1);
 }
 
@@ -142,6 +146,7 @@ CollRequest* Engine::acquire(Algo algo) {
     pool_.push_back(std::make_unique<CollRequest>());
     cr = pool_.back().get();
   }
+  cr->engine_ = this;
   cr->sched_.clear();
   cr->scratch_.clear();
   cr->scratch_d_.clear();
@@ -254,40 +259,48 @@ void Engine::execute(CollRequest* cr, std::uint32_t idx) {
   switch (op.kind) {
     case Op::Kind::kSend: {
       ++stats_.ops_send;
-      stats_.bytes_sent += op.src.size();
+      stats_.bytes_sent += op.len;
       if (cr->trace_id_ != 0) core_.set_next_trace(cr->trace_id_, op.span);
-      Request* req = core_.isend(op.peer, op.tag, op.src);
-      core_.set_continuation(req, [this, cr, idx] { op_done(cr, idx); });
+      Request* req = core_.isend(op.peer, op.tag, {op.src, op.len});
+      core_.set_continuation(req, op_continuation(cr, idx));
       break;
     }
     case Op::Kind::kRecv: {
       ++stats_.ops_recv;
       if (cr->trace_id_ != 0) core_.set_next_trace(cr->trace_id_, op.span);
-      Request* req = core_.irecv(op.peer, op.tag, op.dst);
-      core_.set_continuation(req, [this, cr, idx] { op_done(cr, idx); });
+      Request* req = core_.irecv(op.peer, op.tag, {op.dst, op.len});
+      core_.set_continuation(req, op_continuation(cr, idx));
       break;
     }
     case Op::Kind::kReduce: {
       ++stats_.ops_reduce;
-      const std::size_t bytes = op.red_src.size() * sizeof(double);
-      stats_.bytes_reduced += bytes;
-      charge_local(bytes);
-      for (std::size_t i = 0; i < op.red_src.size(); ++i) {
-        op.red_dst[i] += op.red_src[i];
+      stats_.bytes_reduced += op.len;
+      charge_local(op.len);
+      // Schedule::reduce stored double spans; read them back as doubles.
+      double* acc = reinterpret_cast<double*>(op.dst);
+      const double* addend = reinterpret_cast<const double*>(op.src);
+      for (std::size_t i = 0; i < op.len / sizeof(double); ++i) {
+        acc[i] += addend[i];
       }
       op_done(cr, idx);
       break;
     }
     case Op::Kind::kCopy: {
       ++stats_.ops_copy;
-      charge_local(op.src.size());
-      if (!op.src.empty()) {
-        std::memcpy(op.dst.data(), op.src.data(), op.src.size());
-      }
+      charge_local(op.len);
+      if (op.len != 0) std::memcpy(op.dst, op.src, op.len);
       op_done(cr, idx);
       break;
     }
   }
+}
+
+Continuation Engine::op_continuation(CollRequest* cr, std::uint32_t idx) {
+  return {[](void* ctx, std::uint32_t i) {
+            auto* req = static_cast<CollRequest*>(ctx);
+            req->engine_->op_done(req, i);
+          },
+          cr, idx};
 }
 
 void Engine::op_done(CollRequest* cr, std::uint32_t idx) {

@@ -68,10 +68,7 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
         "node" + std::to_string(node_.index()) + "/locks/engine");
   }
   if (cfg_.reliable) reliable_ = std::make_unique<Reliability>(*this, cfg_);
-  for (unsigned p = 0; p < fabric_.nodes(); ++p) {
-    gates_.emplace_back();
-    gates_.back().peer = p;
-  }
+  gate_index_.assign(fabric_.nodes(), 0);
   if (server_ != nullptr) {
     // Idle cores keep polling while packets sit in a local NIC queue even
     // if no local request is armed yet (unexpected-message processing).
@@ -127,43 +124,40 @@ Request* Core::acquire() {
     req = freelist_.back();
     freelist_.pop_back();
   } else {
-    pool_.push_back(std::make_unique<Request>());
-    req = pool_.back().get();
+    req = &pool_.emplace_back(server_);
+    req->slot = static_cast<std::uint32_t>(pool_.size() - 1);
   }
   req->state = Request::State::kQueued;
   req->send_data = {};
-  req->recv_buf = {};
   req->received_len = 0;
-  req->rdv_id = 0;
-  req->rdma_handle = 0;
-  req->rdv_expected = 0;
-  req->parts_left = 0;
   req->critical = false;
   req->done = false;
-  req->on_complete = nullptr;
-  req->flight_on = false;
-  if (server_ != nullptr) {
-    if (req->cond.has_value()) {
-      req->cond->reset();
-    } else {
-      req->cond.emplace(*server_);
-    }
-  }
+  req->on_complete = {};
+  req->cond.reset();
   return req;
 }
 
 void Core::release(Request* req) {
   PM2_ASSERT(req != nullptr && req->done);
   PM2_ASSERT_MSG(!req->hook.is_linked(), "releasing a queued request");
-  if (req->flight_on && flight_ != nullptr) {
-    if (req->op == Request::Op::kRecv) {
-      req->flight.bytes = static_cast<std::uint32_t>(req->received_len);
+  if (FlightRecord* f = flight_of(*req)) {
+    if (flight_ != nullptr) {
+      if (req->op == Request::Op::kRecv) f->bytes = req->received_len;
+      flight_->commit(*f);
     }
-    flight_->commit(req->flight);
+    f->id = 0;  // a free request never carries an open record
   }
-  req->flight_on = false;
   req->state = Request::State::kFree;
   freelist_.push_back(req);
+}
+
+Gate& Core::gate_for(unsigned peer) {
+  std::uint32_t& index = gate_index_[peer];
+  if (index == 0) {
+    gates_.emplace_back().peer = peer;
+    index = static_cast<std::uint32_t>(gates_.size());
+  }
+  return gates_[index - 1];
 }
 
 void Core::complete(Request& req) {
@@ -174,7 +168,7 @@ void Core::complete(Request& req) {
   const double latency = to_us(fabric_.engine().now() - req.issued_at);
   (req.op == Request::Op::kSend ? send_lat_ : recv_lat_).add(latency);
   node_.wake_spinners();  // e.g. an RDMA completion in engine context
-  if (req.cond.has_value()) req.cond->signal();
+  req.cond.signal();
   if (server_ != nullptr) {
     if (req.critical) {
       req.critical = false;
@@ -187,8 +181,8 @@ void Core::complete(Request& req) {
     // so recycle here, then run the continuation.  Every complete() call
     // site is done touching the request at this point, and releasing first
     // lets the continuation's own isend/irecv reuse the slot.
-    std::function<void()> fn = std::move(req.on_complete);
-    req.on_complete = nullptr;
+    const Continuation fn = req.on_complete;
+    req.on_complete = {};
     release(&req);
     fn();
   }
@@ -223,7 +217,7 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
   flight_init(*req, static_cast<std::uint32_t>(data.size()), t0);
   ++stats_.sends;
 
-  Gate& gate = gates_[dst];
+  Gate& gate = gate_for(dst);
   bool offload_posted = false;
   if (server_ != nullptr && data.size() > cfg_.rdv_threshold) {
     // Rendezvous: the RTS is a header-only packet, cheap to submit, and
@@ -262,8 +256,8 @@ Request* Core::isend(unsigned dst, Tag tag, std::span<const std::byte> data) {
     }
   }
   const SimTime mid = trace_span("nm:isend", t0);
-  if (offload_posted && req->flight_on) {
-    trace_flow("offload", mid, offload_flow_id(req->flight), /*begin=*/true);
+  if (const FlightRecord* f = flight_of(*req); offload_posted && f) {
+    trace_flow("offload", mid, offload_flow_id(*f), /*begin=*/true);
   }
   return req;
 }
@@ -307,14 +301,14 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
     const auto& payload = it->second.payload;
     PM2_ASSERT_MSG(payload.size() <= buffer.size(),
                    "receive buffer too small");
-    if (req->flight_on) {
-      req->flight.stamp(Stage::kWireRx, it->second.arrived_at);
-      req->flight.stamp(Stage::kMatched, fabric_.engine().now());
+    if (FlightRecord* f = flight_of(*req)) {
+      f->stamp(Stage::kWireRx, it->second.arrived_at);
+      f->stamp(Stage::kMatched, fabric_.engine().now());
     }
     flight_exec(*req);  // the posting thread does the second copy itself
     charge_copy(payload.size());
     std::memcpy(buffer.data(), payload.data(), payload.size());
-    req->received_len = payload.size();
+    req->received_len = static_cast<std::uint32_t>(payload.size());
     sh.unexpected.erase(it);
     ++sh.stats.recvs_matched;
     ++sh.stats.buffered_claimed;
@@ -354,7 +348,7 @@ void Core::wait(Request* req) {
   marcel::EngineScope es;  // time inside wait() is communication time
   flight_stamp(*req, Stage::kWaitEnter);
   if (server_ != nullptr) {
-    req->cond->wait();
+    req->cond.wait();
     flight_stamp(*req, Stage::kWoken);
   } else {
     // App-driven progression: this thread does all the work.
@@ -389,7 +383,7 @@ Status Core::wait_for(Request* req, SimDuration timeout) {
   marcel::EngineScope es;
   flight_stamp(*req, Stage::kWaitEnter);
   if (server_ != nullptr) {
-    const Status st = req->cond->wait_for(timeout);
+    const Status st = req->cond.wait_for(timeout);
     if (st == Status::kOk) {
       flight_stamp(*req, Stage::kWoken);
       release(req);
@@ -406,8 +400,8 @@ Status Core::wait_for(Request* req, SimDuration timeout) {
   return Status::kOk;
 }
 
-void Core::set_continuation(Request* req, std::function<void()> fn) {
-  PM2_ASSERT(req != nullptr && fn != nullptr);
+void Core::set_continuation(Request* req, Continuation fn) {
+  PM2_ASSERT(req != nullptr && fn);
   PM2_ASSERT_MSG(req->state != Request::State::kFree,
                  "continuation on a recycled request");
   if (req->done) {
@@ -417,7 +411,7 @@ void Core::set_continuation(Request* req, std::function<void()> fn) {
     fn();
     return;
   }
-  req->on_complete = std::move(fn);
+  req->on_complete = fn;
 }
 
 Tag Core::alloc_coll_tags(std::uint32_t count) {
@@ -607,12 +601,12 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
   const SimTime mid = trace_span("nm:inject", t0);
   if (mid != 0) {
     for (Request* r : reqs) {
-      if (!r->flight_on) continue;
+      const FlightRecord* f = flight_of(*r);
+      if (f == nullptr) continue;
       // Close the offload arrow from the isend that posted this work, and
       // open the wire arrow towards the receiver's delivery span.
-      if (r->flight.at(Stage::kOffloadPosted) != 0) {
-        trace_flow("offload", mid, offload_flow_id(r->flight),
-                   /*begin=*/false);
+      if (f->at(Stage::kOffloadPosted) != 0) {
+        trace_flow("offload", mid, offload_flow_id(*f), /*begin=*/false);
       }
       trace_flow("wire", mid, wire_flow_id(node_id(), gate.peer, r->tag,
                                            r->seq),
@@ -626,11 +620,11 @@ void Core::inject_eager_batch(Gate& gate, unsigned rail,
 
 void Core::inject_rts(Gate& gate, unsigned rail, Request& req) {
   const SimTime t0 = fabric_.engine().now();
-  if (req.flight_on) req.flight.rdv = true;
+  if (FlightRecord* f = flight_of(req)) f->rdv = true;
   flight_stamp(req, Stage::kEnqueued);
   req.state = Request::State::kRdvHandshake;
-  req.rdv_id = next_rdv_++;
-  rdv_sends_[req.rdv_id] = &req;
+  const std::uint64_t rdv = next_rdv_++;
+  rdv_sends_[rdv] = RdvSend{&req, 0};
   // The handshake needs reactivity (§2.3): if every core turns busy, the
   // blocking LWP must watch for the CTS.  Cleared on completion.
   if (server_ != nullptr && !req.critical) {
@@ -642,7 +636,7 @@ void Core::inject_rts(Gate& gate, unsigned rail, Request& req) {
   hdr.tag = req.tag;
   hdr.seq = req.seq;
   hdr.size = static_cast<std::uint32_t>(req.send_data.size());
-  hdr.rdv = req.rdv_id;
+  hdr.rdv = rdv;
   std::vector<std::byte> pkt;
   append_header(pkt, hdr);
   ++stats_.rdv_sends;
@@ -789,9 +783,9 @@ void Core::handle_eager(unsigned src, const WireHeader& hdr,
     ++sh.stats.recvs_matched;
     PM2_ASSERT_MSG(payload.size() <= req->recv_buf.size(),
                    "receive buffer too small");
-    if (req->flight_on) {
-      req->flight.stamp(Stage::kWireRx, t0);
-      req->flight.stamp(Stage::kMatched, fabric_.engine().now());
+    if (FlightRecord* f = flight_of(*req)) {
+      f->stamp(Stage::kWireRx, t0);
+      f->stamp(Stage::kMatched, fabric_.engine().now());
     }
     flight_exec(*req);
     // Expected message: single copy, NIC buffer → application buffer,
@@ -799,7 +793,7 @@ void Core::handle_eager(unsigned src, const WireHeader& hdr,
     if (!payload.empty()) {
       std::memcpy(req->recv_buf.data(), payload.data(), payload.size());
     }
-    req->received_len = payload.size();
+    req->received_len = static_cast<std::uint32_t>(payload.size());
     ++stats_.expected_eager;
     complete(*req);
   } else {
@@ -847,24 +841,22 @@ void Core::start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
   PM2_ASSERT_MSG(size <= req.recv_buf.size(),
                  "receive buffer too small for rendezvous message");
   const SimTime t0 = fabric_.engine().now();
-  if (req.flight_on) {
-    req.flight.rdv = true;
-    req.flight.stamp(Stage::kWireRx, wire_rx != 0 ? wire_rx : t0);
-    req.flight.stamp(Stage::kMatched, t0);
+  if (FlightRecord* f = flight_of(req)) {
+    f->rdv = true;
+    f->stamp(Stage::kWireRx, wire_rx != 0 ? wire_rx : t0);
+    f->stamp(Stage::kMatched, t0);
   }
   flight_exec(req);
   req.state = Request::State::kDataInFlight;
   req.received_len = 0;
-  req.rdv_expected = size;
-  req.rdv_id = rdv;
   // Detecting the zero-copy completion is reactivity-critical too.
   if (server_ != nullptr && !req.critical) {
     req.critical = true;
     server_->arm_critical();
   }
   net::Nic& nic = fabric_.nic(node_id(), 0);
-  req.rdma_handle = nic.register_buffer(req.recv_buf.first(size));
-  rdma_recvs_[req.rdma_handle] = &req;
+  const net::RdmaHandle handle = nic.register_buffer(req.recv_buf.first(size));
+  rdma_recvs_[handle] = RdvRecv{&req, size};
   // Answer the handshake: the data will land zero-copy in the application
   // buffer instead of the unexpected-message area (§2.3).
   WireHeader cts;
@@ -873,7 +865,7 @@ void Core::start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
   cts.seq = req.seq;
   cts.size = size;
   cts.rdv = rdv;
-  cts.handle = req.rdma_handle;
+  cts.handle = handle;
   std::vector<std::byte> pkt;
   append_header(pkt, cts);
   ++stats_.wire_packets;
@@ -883,34 +875,35 @@ void Core::start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
 
 void Core::handle_cts(const WireHeader& hdr) {
   const auto it = rdv_sends_.find(hdr.rdv);
-  if (it == rdv_sends_.end()) {
+  if (it == rdv_sends_.end() || it->second.parts_left != 0) {
     // Duplicate or stale CTS — the fault fabric can replay the packet after
     // the handshake already went through.
     ++stats_.dropped_malformed;
     return;
   }
-  Request& req = *it->second;
-  rdv_sends_.erase(it);
-  flight_stamp(req, Stage::kMatched);  // handshake answered
-  req.rdma_handle = hdr.handle;
-  send_rdv_data(req);
+  flight_stamp(*it->second.req, Stage::kMatched);  // handshake answered
+  send_rdv_data(it, hdr.handle);
 }
 
-void Core::send_rdv_data(Request& req) {
+void Core::send_rdv_data(RdvSends::iterator it, std::uint64_t handle) {
+  Request& req = *it->second.req;
   const SimTime t0 = fabric_.engine().now();
   flight_stamp(req, Stage::kPickup);
   flight_exec(req);
   req.state = Request::State::kDataInFlight;
   const auto plan = strategy_->plan_rdv(*this, req.send_data.size());
   PM2_ASSERT(!plan.empty());
-  req.parts_left = static_cast<unsigned>(plan.size());
+  it->second.parts_left = static_cast<unsigned>(plan.size());
   for (const auto& stripe : plan) {
     fabric_.nic(node_id(), stripe.rail)
         .rdma_put(
-            req.peer, req.rdma_handle,
+            req.peer, handle,
             req.send_data.subspan(stripe.offset, stripe.length),
-            [this, &req] {
-              if (--req.parts_left == 0) complete(req);
+            [this, it] {
+              if (--it->second.parts_left != 0) return;
+              Request& done = *it->second.req;
+              rdv_sends_.erase(it);
+              complete(done);
             },
             stripe.offset);
   }
@@ -930,12 +923,12 @@ void Core::handle_rdma_done(const net::RxEvent& ev) {
                    "RDMA completion for an unknown receive");
     return;
   }
-  Request& req = *it->second;
-  req.received_len += ev.rdma_len;
-  PM2_ASSERT(req.received_len <= req.rdv_expected);
-  if (req.received_len == req.rdv_expected) {
+  Request& req = *it->second.req;
+  req.received_len += static_cast<std::uint32_t>(ev.rdma_len);
+  PM2_ASSERT(req.received_len <= it->second.expected);
+  if (req.received_len == it->second.expected) {
     rdma_recvs_.erase(it);
-    fabric_.nic(node_id(), 0).unregister_buffer(req.rdma_handle);
+    fabric_.nic(node_id(), 0).unregister_buffer(ev.rdma);
     const SimTime mid = trace_span("nm:rdma-done", t0);
     trace_flow("wire", mid,
                wire_flow_id(req.peer, node_id(), req.tag, req.seq),
@@ -967,13 +960,10 @@ void Core::flight_init(Request& req, std::uint32_t bytes,
   const std::uint64_t span = next_span_id_;
   next_trace_id_ = 0;
   next_span_id_ = 0;
-  if (flight_ == nullptr) {
-    req.flight_on = false;
-    return;
-  }
-  req.flight = FlightRecord{};
-  req.flight_on = true;
-  FlightRecord& f = req.flight;
+  if (flight_ == nullptr) return;  // the slot's record stays closed (id 0)
+  if (flights_.size() <= req.slot) flights_.resize(pool_.size());
+  FlightRecord& f = flights_[req.slot];
+  f = FlightRecord{};
   f.trace_id = trace;
   f.span_id = span;
   f.id = flight_->next_id();
@@ -990,17 +980,18 @@ void Core::flight_init(Request& req, std::uint32_t bytes,
 }
 
 void Core::flight_stamp(Request& req, Stage s) {
-  if (req.flight_on) req.flight.stamp(s, fabric_.engine().now());
+  if (FlightRecord* f = flight_of(req)) f->stamp(s, fabric_.engine().now());
 }
 
 void Core::flight_exec(Request& req) {
-  if (!req.flight_on) return;
+  FlightRecord* f = flight_of(req);
+  if (f == nullptr) return;
   marcel::Cpu* cpu = marcel::detail::current_cpu();
-  req.flight.exec_cpu = cpu != nullptr ? static_cast<int>(cpu->index()) : -1;
+  f->exec_cpu = cpu != nullptr ? static_cast<int>(cpu->index()) : -1;
   // A different executing identity — another thread, or a service fiber
   // (nullptr) — means the work left the posting thread's critical path.
   const void* exec_self = marcel::this_thread::self();
-  req.flight.offloaded = exec_self != req.flight.post_self;
+  f->offloaded = exec_self != f->post_self;
 }
 
 SimTime Core::trace_span(const char* name, SimTime start) {
@@ -1048,6 +1039,17 @@ void Core::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/dropped_malformed", &stats_.dropped_malformed);
   registry.bind_counter(p + "/pack_msgs", &stats_.pack_msgs);
   registry.bind_counter(p + "/pack_segments", &stats_.pack_segments);
+  // Memory gauges: the request pool's high-water mark, the requests not
+  // yet recycled (0 once a run has drained), and the gates made so far.
+  registry.bind_gauge(p + "/requests/pooled", [this] {
+    return static_cast<double>(requests_pooled());
+  });
+  registry.bind_gauge(p + "/requests/live", [this] {
+    return static_cast<double>(requests_live());
+  });
+  registry.bind_gauge(p + "/gates", [this] {
+    return static_cast<double>(gates_created());
+  });
   // Per-shard matching counters + pending gauges ("<prefix>/shardS/*"):
   // bound in every mode (legacy = one shard), so the conservation checks
   // of tools/check_metrics.py --expect-shards apply to any metrics.json.

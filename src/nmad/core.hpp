@@ -176,7 +176,7 @@ class Core {
   /// CPU), so `fn` must neither block nor charge CPU time; defer real work
   /// to a poll source.  This is the primitive the collective engine's
   /// schedule DAGs are driven by.
-  void set_continuation(Request* req, std::function<void()> fn);
+  void set_continuation(Request* req, Continuation fn);
 
   // ---------------- reserved tag bands ----------------
 
@@ -276,6 +276,22 @@ class Core {
     match_.shard_for(peer, tag).seed_seq(peer, tag, next);
   }
 
+  /// Requests ever allocated (the pool's high-water mark) and those not
+  /// back on the freelist; exported as nodeN/nm/requests/{pooled,live}.
+  [[nodiscard]] std::size_t requests_pooled() const noexcept {
+    return pool_.size();
+  }
+  [[nodiscard]] std::size_t requests_live() const noexcept {
+    return pool_.size() - freelist_.size();
+  }
+
+  /// Gates created so far: one per peer this core has isend'ed to.  Control
+  /// packets (CTS, RMA, acks) go through send_packet and make none
+  /// (exported as nodeN/nm/gates).
+  [[nodiscard]] std::size_t gates_created() const noexcept {
+    return gates_.size();
+  }
+
   /// The reliable-delivery sublayer, or nullptr when Config::reliable is
   /// off (the paper's lossless fast path).
   [[nodiscard]] const Reliability* reliability() const noexcept {
@@ -357,9 +373,25 @@ class Core {
  private:
   using MatchKey = matching::MatchKey;  // (src, tag, seq)
 
+  // Rendezvous bookkeeping, kept out of Request: a send stays in the table
+  // from its RTS until the last RDMA stripe lands (parts_left == 0 until
+  // the CTS), a receive from its CTS until all bytes arrived.
+  struct RdvSend {
+    Request* req = nullptr;
+    unsigned parts_left = 0;  // multirail stripes not yet landed
+  };
+  struct RdvRecv {
+    Request* req = nullptr;
+    std::size_t expected = 0;  // total bytes the RTS announced
+  };
+  using RdvSends = std::map<std::uint64_t, RdvSend>;
+
   Request* acquire();
   void release(Request* req);
   void complete(Request& req);
+
+  /// The gate towards `peer`, created on first contact.
+  Gate& gate_for(unsigned peer);
 
   /// Stage a queued eager send: gate sendq in legacy mode, the lock-free
   /// posting ring in sharded mode.
@@ -385,7 +417,7 @@ class Core {
   void handle_rdma_done(const net::RxEvent& ev);
   void start_rdv_recv(Request& req, unsigned src, std::uint64_t rdv,
                       std::uint32_t size, SimTime wire_rx = 0);
-  void send_rdv_data(Request& req);
+  void send_rdv_data(RdvSends::iterator it, std::uint64_t handle);
 
   /// Charge CPU time to the calling fiber's core.
   void charge(SimDuration d);
@@ -393,6 +425,12 @@ class Core {
 
   // ---- flight-recorder / tracer plumbing (all no-ops when disabled) ----
 
+  /// The request's open flight record, or nullptr when it is not recorded.
+  [[nodiscard]] FlightRecord* flight_of(const Request& req) noexcept {
+    return req.slot < flights_.size() && flights_[req.slot].id != 0
+               ? &flights_[req.slot]
+               : nullptr;
+  }
   /// Start a flight record for a freshly posted request.
   void flight_init(Request& req, std::uint32_t bytes, SimTime posted_at);
   void flight_stamp(Request& req, Stage s);
@@ -414,23 +452,30 @@ class Core {
   std::unique_ptr<EngineLock> elock_;
   std::unique_ptr<Strategy> strategy_;
   std::unique_ptr<Reliability> reliable_;
-  std::deque<Gate> gates_;  // indexed by peer node id
+  // Gates in first-contact order; gate_index_[peer] is the peer's position
+  // plus one (0 = never contacted), so per-peer cost stays 4 bytes until a
+  // message is actually sent there.
+  std::deque<Gate> gates_;
+  std::vector<std::uint32_t> gate_index_;
 
   // Matching state (flows, posted recvs, unexpected messages, pending RPC
   // dispatch): one shard in legacy mode, Config::match_shards otherwise.
   matching::Store match_;
-  std::map<std::uint64_t, Request*> rdv_sends_;   // rdv id -> send request
-  std::map<std::uint64_t, Request*> rdma_recvs_;  // handle -> recv request
+  RdvSends rdv_sends_;                           // rdv id -> send
+  std::map<std::uint64_t, RdvRecv> rdma_recvs_;  // RDMA handle -> recv
   std::uint64_t next_rdv_ = 1;
   std::uint64_t coll_tag_cursor_ = 0;  // next unused offset into the band
   std::size_t rpc_unexpected_ = 0;     // buffered unexpecteds on rpc band
 
   int source_id_ = 0;  // PIOMan progress source
 
-  std::deque<std::unique_ptr<Request>> pool_;
+  std::deque<Request> pool_;  // Request::slot indexes it
   std::vector<Request*> freelist_;
   RmaSink* rma_sink_ = nullptr;
   FlightRecorder* flight_ = nullptr;
+  // Open flight records by Request::slot (id 0 = not recording); grown
+  // only while a recorder is attached.
+  std::vector<FlightRecord> flights_;
   // Causal lineage staged by set_next_trace() for the next posted request.
   std::uint64_t next_trace_id_ = 0;
   std::uint64_t next_span_id_ = 0;

@@ -1,9 +1,11 @@
 // Request-lifecycle flight recorder.
 //
-// Every nm::Request carries a FlightRecord: one monotonic simulation
-// timestamp per lifecycle stage (posted by the application, enqueued into a
-// strategy, offloaded to PIOMan, picked up by a tasklet, injected into the
-// NIC, received off the wire, matched, completed, waited on, woken).  The
+// Every recorded nm::Request has a FlightRecord (held by nm::Core in a side
+// array indexed by Request::slot, not inside the request): one monotonic
+// simulation timestamp per lifecycle stage (posted by the application,
+// enqueued into a strategy, offloaded to PIOMan, picked up by a tasklet,
+// injected into the NIC, received off the wire, matched, completed, waited
+// on, woken).  The
 // stamps are plain array stores on the hot path — when recording is off the
 // whole mechanism reduces to an untaken branch.
 //

@@ -68,6 +68,25 @@ void Engine::charge_copy(std::size_t bytes) {
                                   static_cast<double>(bytes)));
 }
 
+Engine::PeerState& Engine::peer(Window& w, unsigned rank) {
+  std::uint32_t& slot = w.slot_of[rank];
+  if (slot == 0) {
+    w.peers.emplace_back();
+    slot = static_cast<std::uint32_t>(w.peers.size());
+  }
+  return w.peers[slot - 1];
+}
+
+bool Engine::locked(const Window& w, unsigned rank) {
+  const std::uint32_t slot = w.slot_of[rank];
+  return slot != 0 && w.peers[slot - 1].locked;
+}
+
+std::size_t Engine::peer_slots(WinId win) const {
+  PM2_ASSERT_MSG(win < wins_.size(), "unknown RMA window");
+  return wins_[win].peers.size();
+}
+
 Engine::Window& Engine::checked_window(WinId win) {
   PM2_ASSERT_MSG(win < wins_.size(), "unknown RMA window");
   return wins_[win];
@@ -75,8 +94,8 @@ Engine::Window& Engine::checked_window(WinId win) {
 
 Status Engine::validate_op(Window& w, unsigned rank, std::uint64_t offset,
                            std::size_t size) {
-  PM2_ASSERT_MSG(rank < w.peers.size(), "RMA op to a rank outside the world");
-  PM2_ASSERT_MSG(w.fence_open || w.peers[rank].locked,
+  PM2_ASSERT_MSG(rank < w.sizes.size(), "RMA op to a rank outside the world");
+  PM2_ASSERT_MSG(w.fence_open || locked(w, rank),
                  "RMA op outside an open epoch (fence or lock first)");
   // Overflow-safe: offset + size could wrap, offset alone cannot.
   if (offset > w.sizes[rank] || size > w.sizes[rank] - offset) {
@@ -116,7 +135,7 @@ WinId Engine::win_create(std::span<std::byte> local) {
   Window& w = wins_.back();
   w.local = local;
   w.sizes.assign(world(), 0);
-  w.peers = std::vector<PeerState>(world());
+  w.slot_of.assign(world(), 0);
   // Exchange exposed sizes; the id itself advances in lockstep because
   // win_create is collective.  The allgather doubles as the barrier that
   // guarantees every rank's window exists before any rank can target it.
@@ -141,7 +160,7 @@ Status Engine::put(WinId win, unsigned rank, std::uint64_t offset,
     return st;
   }
   if (data.empty()) return Status::kOk;
-  PeerState& ps = w.peers[rank];
+  PeerState& ps = peer(w, rank);
   const std::uint32_t seq = w.next_seq++;
   ++ps.issued;
   ++stats_.puts_issued;
@@ -233,7 +252,7 @@ Status Engine::accumulate(WinId win, unsigned rank, std::uint64_t offset,
     return Status::kInvalidArgument;
   }
   if (data.empty()) return Status::kOk;
-  PeerState& ps = w.peers[rank];
+  PeerState& ps = peer(w, rank);
   const std::uint32_t seq = w.next_seq++;
   ++ps.issued;
   ++stats_.accs_issued;
@@ -270,7 +289,7 @@ Status Engine::get(WinId win, unsigned rank, std::uint64_t offset,
     return st;
   }
   if (out.empty()) return Status::kOk;
-  PeerState& ps = w.peers[rank];
+  PeerState& ps = peer(w, rank);
   ++ps.gets_pending;
   ++stats_.gets_issued;
   stats_.bytes_got += out.size();
@@ -301,7 +320,7 @@ Status Engine::get(WinId win, unsigned rank, std::uint64_t offset,
 // ------------------------------------------------------ completion fences
 
 void Engine::send_flush_req(WinId win, Window& w, unsigned rank) {
-  PeerState& ps = w.peers[rank];
+  PeerState& ps = peer(w, rank);
   ++stats_.flush_reqs;
   WireHeader hdr;
   hdr.kind = static_cast<std::uint8_t>(PacketKind::kRmaFlushReq);
@@ -318,10 +337,10 @@ void Engine::flush(WinId win, unsigned rank) {
   ++stats_.api_calls;
   ++stats_.flushes;
   Window& w = checked_window(win);
-  PM2_ASSERT_MSG(rank < w.peers.size(), "flush() to a rank outside the world");
-  PM2_ASSERT_MSG(w.fence_open || w.peers[rank].locked,
+  PM2_ASSERT_MSG(rank < w.sizes.size(), "flush() to a rank outside the world");
+  PM2_ASSERT_MSG(w.fence_open || locked(w, rank),
                  "flush() outside an open epoch");
-  PeerState& ps = w.peers[rank];
+  PeerState& ps = peer(w, rank);
   const std::uint64_t span = op_span_open(win, w);
   if (ps.issued > ps.acked) send_flush_req(win, w, rank);
   wait_until([&ps] {
@@ -337,9 +356,11 @@ void Engine::flush_all(WinId win) {
   Window& w = checked_window(win);
   const std::uint64_t span = op_span_open(win, w);
   // Fan the fence requests out first, then wait on the combined predicate
-  // — the round-trips overlap instead of serializing rank by rank.
-  for (unsigned r = 0; r < w.peers.size(); ++r) {
-    if (w.peers[r].issued > w.peers[r].acked) {
+  // — the round-trips overlap instead of serializing rank by rank.  Only
+  // touched peers can owe anything.
+  for (unsigned r = 0; r < w.slot_of.size(); ++r) {
+    const std::uint32_t slot = w.slot_of[r];
+    if (slot != 0 && w.peers[slot - 1].issued > w.peers[slot - 1].acked) {
       ++stats_.flushes;
       send_flush_req(win, w, r);
     }
@@ -381,10 +402,10 @@ void Engine::lock(WinId win, unsigned rank) {
   marcel::EngineScope es;
   ++stats_.api_calls;
   Window& w = checked_window(win);
-  PM2_ASSERT_MSG(rank < w.peers.size(), "lock() on a rank outside the world");
+  PM2_ASSERT_MSG(rank < w.sizes.size(), "lock() on a rank outside the world");
   PM2_ASSERT_MSG(!w.fence_open, "lock() inside an open fence epoch");
-  PM2_ASSERT_MSG(!w.peers[rank].locked, "lock() on an already-locked target");
-  w.peers[rank].locked = true;
+  PM2_ASSERT_MSG(!locked(w, rank), "lock() on an already-locked target");
+  peer(w, rank).locked = true;
   ++stats_.epochs_opened;
   epoch_open(win, w);
 }
@@ -393,11 +414,11 @@ void Engine::unlock(WinId win, unsigned rank) {
   marcel::EngineScope es;
   ++stats_.api_calls;
   Window& w = checked_window(win);
-  PM2_ASSERT_MSG(rank < w.peers.size(),
+  PM2_ASSERT_MSG(rank < w.sizes.size(),
                  "unlock() on a rank outside the world");
-  PM2_ASSERT_MSG(w.peers[rank].locked, "unlock() without a matching lock()");
+  PM2_ASSERT_MSG(locked(w, rank), "unlock() without a matching lock()");
   flush(win, rank);
-  w.peers[rank].locked = false;
+  peer(w, rank).locked = false;
   ++stats_.epochs_closed;
   epoch_close(win, w);
 }
@@ -459,7 +480,7 @@ void Engine::apply_put(unsigned src, const WireHeader& hdr,
   }
   Window& w = wins_[hdr.tag];
   const std::uint64_t off = hdr.rdv;
-  if (src >= w.peers.size() || off > w.local.size() ||
+  if (src >= w.sizes.size() || off > w.local.size() ||
       payload.size() > w.local.size() - off) {
     ++stats_.dropped_out_of_range;
     return;
@@ -486,7 +507,7 @@ void Engine::apply_acc(unsigned src, const WireHeader& hdr,
   const std::uint64_t off = hdr.rdv;
   const auto type = static_cast<AccType>((hdr.count >> 8) & 0xff);
   const auto op = static_cast<AccOp>(hdr.count & 0xff);
-  if (src >= w.peers.size() || off > w.local.size() ||
+  if (src >= w.sizes.size() || off > w.local.size() ||
       payload.size() > w.local.size() - off || off % 8 != 0 ||
       payload.size() % 8 != 0 || type > AccType::kF64 || op > AccOp::kMax) {
     ++stats_.dropped_out_of_range;
@@ -574,8 +595,9 @@ void Engine::handle_get_reply(const WireHeader& hdr,
   charge_copy(payload.size());
   std::memcpy(pg.out.data(), payload.data(), payload.size());
   Window& w = wins_[pg.win];
-  PM2_ASSERT(w.peers[pg.rank].gets_pending > 0);
-  --w.peers[pg.rank].gets_pending;
+  PeerState& ps = peer(w, pg.rank);
+  PM2_ASSERT(ps.gets_pending > 0);
+  --ps.gets_pending;
   ++stats_.gets_completed;
   if (server_ != nullptr) server_->disarm_critical();
   if (FlightRecorder* fr = core_.flight_recorder()) {
@@ -608,7 +630,7 @@ void Engine::handle_rts(unsigned src, const WireHeader& hdr) {
   }
   Window& w = wins_[hdr.tag];
   const std::uint64_t off = hdr.handle;  // target offset rides `handle`
-  if (src >= w.peers.size() || off > w.local.size() ||
+  if (src >= w.sizes.size() || off > w.local.size() ||
       hdr.size > w.local.size() - off) {
     // A corrupt RTS gets no grant; the origin's fence will never cover an
     // op that was never legitimately issued.
@@ -659,8 +681,9 @@ void Engine::handle_cts(unsigned src, const WireHeader& hdr) {
                   RdvPut done = std::move(dit->second);
                   rdv_puts_.erase(dit);
                   Window& w = wins_[done.win];
-                  PM2_ASSERT(w.peers[done.rank].rdv_inflight > 0);
-                  --w.peers[done.rank].rdv_inflight;
+                  PeerState& ps = peer(w, done.rank);
+                  PM2_ASSERT(ps.rdv_inflight > 0);
+                  --ps.rdv_inflight;
                   if (done.flight_on) {
                     if (FlightRecorder* fr = core_.flight_recorder()) {
                       done.flight.stamp(Stage::kCompleted, now_of(core_));
@@ -680,17 +703,18 @@ void Engine::handle_flush_req(unsigned src, const WireHeader& hdr) {
     return;
   }
   Window& w = wins_[hdr.tag];
-  if (src >= w.peers.size()) {
+  if (src >= w.sizes.size()) {
     ++stats_.dropped_out_of_range;
     return;
   }
-  if (w.peers[src].applied_from >= hdr.rdv) {
+  const std::uint64_t applied = peer(w, src).applied_from;
+  if (applied >= hdr.rdv) {
     ++stats_.flush_acks;
     WireHeader ack;
     ack.kind = static_cast<std::uint8_t>(PacketKind::kRmaFlushAck);
     ack.tag = hdr.tag;
     ack.seq = hdr.seq;
-    ack.rdv = w.peers[src].applied_from;
+    ack.rdv = applied;
     std::vector<std::byte> pkt;
     append_header(pkt, ack);
     core_.rma_send(src, std::move(pkt));
@@ -707,23 +731,24 @@ void Engine::handle_flush_ack(unsigned src, const WireHeader& hdr) {
     return;
   }
   Window& w = wins_[hdr.tag];
-  if (src >= w.peers.size()) {
+  if (src >= w.sizes.size()) {
     ++stats_.dropped_out_of_range;
     return;
   }
   ++stats_.flush_acks_rx;
-  PeerState& ps = w.peers[src];
+  PeerState& ps = peer(w, src);
   if (hdr.rdv > ps.acked) ps.acked = hdr.rdv;
   if (cond_) cond_->signal();
 }
 
 void Engine::note_applied(WinId win, Window& w, unsigned src) {
-  ++w.peers[src].applied_from;
+  PeerState& from = peer(w, src);
+  ++from.applied_from;
   // Collect-then-send: sending an ack charges CPU (a suspension point),
   // and another apply may mutate `parked` while we are suspended.
   std::vector<ParkedFence> ready;
   for (auto it = w.parked.begin(); it != w.parked.end();) {
-    if (it->src == src && w.peers[src].applied_from >= it->need) {
+    if (it->src == src && from.applied_from >= it->need) {
       ready.push_back(*it);
       it = w.parked.erase(it);
     } else {
@@ -736,7 +761,7 @@ void Engine::note_applied(WinId win, Window& w, unsigned src) {
     ack.kind = static_cast<std::uint8_t>(PacketKind::kRmaFlushAck);
     ack.tag = win;
     ack.seq = f.fence_id;
-    ack.rdv = w.peers[f.src].applied_from;
+    ack.rdv = from.applied_from;
     std::vector<std::byte> pkt;
     append_header(pkt, ack);
     core_.rma_send(f.src, std::move(pkt));

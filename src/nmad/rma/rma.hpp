@@ -187,6 +187,9 @@ class Engine final : public RmaSink {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
+  /// Peers with per-peer state on `win` (touched as origin or target).
+  [[nodiscard]] std::size_t peer_slots(WinId win) const;
+
   /// Bind every counter above plus the in-flight gauges (ops_pending,
   /// fences_parked) under `prefix` (e.g. "node0/rma").
   void bind_metrics(MetricsRegistry& registry, std::string_view prefix);
@@ -226,7 +229,12 @@ class Engine final : public RmaSink {
   struct Window {
     std::span<std::byte> local;
     std::vector<std::uint64_t> sizes;  // exposed bytes, indexed by rank
-    std::vector<PeerState> peers;
+    // Per-peer state exists only for peers this rank has touched on the
+    // window (as origin or target): `peers` in first-contact order (a
+    // deque, so a PeerState& survives later contacts), slot_of[rank] its
+    // position plus one (0 = untouched).
+    std::deque<PeerState> peers;
+    std::vector<std::uint32_t> slot_of;
     std::vector<ParkedFence> parked;
     bool fence_open = false;
     std::uint32_t next_seq = 1;  // op # for flight tagging (per window)
@@ -274,6 +282,10 @@ class Engine final : public RmaSink {
 
   // -- origin-side helpers --
   Window& checked_window(WinId win);
+  /// `rank`'s state on `w`, made on first contact.
+  static PeerState& peer(Window& w, unsigned rank);
+  /// True when a lock epoch towards `rank` is open (touches nothing).
+  [[nodiscard]] static bool locked(const Window& w, unsigned rank);
   /// Epoch + bounds validation shared by put/get/accumulate.
   Status validate_op(Window& w, unsigned rank, std::uint64_t offset,
                      std::size_t size);

@@ -158,16 +158,12 @@ void Engine::signal(const CompletionRef& ref, std::uint32_t delta) {
 void Engine::finish_send(nm::Request* req, OutMsg* m) {
   if (core_.server() != nullptr) {
     // Offloaded: fire and forget, recycle the staging whenever the
-    // engine finishes with it.  Recording is a plain push_back, so it is
-    // legal from the continuation's engine context.
-    core_.set_continuation(req, [this, m] {
-      if (m->trace_id != 0 && trace_ != nullptr) {
-        trace_->record(m->trace_id, m->span_id, 0,
-                       tracing::EventKind::kSendDone, m->service,
-                       core_.fabric().engine().now());
-      }
-      release_out(m);
-    });
+    // engine finishes with it.
+    core_.set_continuation(req, {[](void* ctx, std::uint32_t slot) {
+                                   auto* self = static_cast<Engine*>(ctx);
+                                   self->send_done(self->out_pool_[slot].get());
+                                 },
+                                 this, m->slot});
     return;
   }
   // App-driven baseline: progression only happens inside library calls,
@@ -186,6 +182,12 @@ void Engine::finish_send(nm::Request* req, OutMsg* m) {
       marcel::this_thread::compute(cfg.app_poll_gap);
     }
   }
+  send_done(m);
+}
+
+void Engine::send_done(OutMsg* m) {
+  // Recording is a plain push_back, so this is legal from a continuation's
+  // engine context.
   if (m->trace_id != 0 && trace_ != nullptr) {
     trace_->record(m->trace_id, m->span_id, 0, tracing::EventKind::kSendDone,
                    m->service, core_.fabric().engine().now());
@@ -247,7 +249,11 @@ bool Engine::pump() {
       // continuation fires right here.  Rendezvous: it fires from
       // whatever context finishes the transfer — engine context
       // included — so enqueue() must neither block nor charge.
-      core_.set_continuation(req, [this, m] { enqueue(m); });
+      core_.set_continuation(req, {[](void* ctx, std::uint32_t slot) {
+                                     auto* self = static_cast<Engine*>(ctx);
+                                     self->enqueue(self->in_pool_[slot].get());
+                                   },
+                                   this, m->slot});
       any = true;
     }
   }
@@ -401,6 +407,7 @@ Engine::OutMsg* Engine::acquire_out() {
     return m;
   }
   out_pool_.push_back(std::make_unique<OutMsg>());
+  out_pool_.back()->slot = static_cast<std::uint32_t>(out_pool_.size() - 1);
   return out_pool_.back().get();
 }
 
@@ -413,6 +420,7 @@ Engine::InMsg* Engine::acquire_in() {
     return m;
   }
   in_pool_.push_back(std::make_unique<InMsg>());
+  in_pool_.back()->slot = static_cast<std::uint32_t>(in_pool_.size() - 1);
   return in_pool_.back().get();
 }
 

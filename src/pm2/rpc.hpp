@@ -311,6 +311,7 @@ class Engine {
     std::uint64_t trace_id = 0;
     std::uint64_t span_id = 0;
     std::uint32_t service = 0;
+    std::uint32_t slot = 0;  // index in out_pool_ (continuation argument)
   };
   struct InMsg {
     std::vector<std::byte> buf;  // whole message; handler args view it
@@ -318,6 +319,7 @@ class Engine {
     nm::Tag tag = 0;
     SimTime arrived_at = 0;   // wire arrival (unexpected-store entry)
     SimTime enqueued_at = 0;  // receive completed, pushed on the inbox
+    std::uint32_t slot = 0;   // index in in_pool_ (continuation argument)
   };
 
   // -- completion registry (Completion ctor/dtor) --
@@ -327,6 +329,7 @@ class Engine {
 
   // -- send path --
   void finish_send(nm::Request* req, OutMsg* m);
+  void send_done(OutMsg* m);  // close the call span, recycle the staging
 
   // -- receive path --
   bool drain();                // pump + dispatch + reap (the poll source)

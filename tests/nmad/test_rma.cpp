@@ -268,6 +268,56 @@ TEST_P(RmaMode, FenceRingExchange) {
   check_conservation(cluster, kNodes);
 }
 
+// ------------------------------------------------- per-peer state at scale
+
+// Per-peer state is made on first contact, so what a rank holds depends on
+// whom it talks to, not on the cluster size.  After win_create (a ring
+// allgather) and one fence/put/fence ring step, each rank has touched two
+// window peers (left as target, right as origin) at every N, and has gates
+// only towards the partners of the dissemination barrier inside fence —
+// log2 N of them, its right neighbour among them.  Counts, not heap bytes,
+// keep this fast and deterministic.
+TEST(RmaScaling, PerPeerStateFollowsContactsNotClusterSize) {
+  for (const unsigned nodes : {32u, 64u, 128u}) {
+    ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.cpus_per_node = 2;
+    cfg.pioman = false;
+    cfg.rma = true;
+    Cluster cluster(cfg);
+    std::vector<std::vector<std::byte>> wins(nodes,
+                                             std::vector<std::byte>(8));
+    std::vector<WinId> ids(nodes);
+    for (unsigned r = 0; r < nodes; ++r) {
+      cluster.run_on(r, [&, r] {
+        Engine& rma = cluster.rma(r);
+        ids[r] = rma.win_create(wins[r]);
+        rma.fence(ids[r]);
+        EXPECT_EQ(rma.put(ids[r], (r + 1) % nodes, 0,
+                          pack_elems<std::uint64_t>({r})),
+                  Status::kOk);
+        rma.fence(ids[r]);
+      });
+    }
+    cluster.run();
+
+    unsigned log2n = 0;
+    while ((1u << log2n) < nodes) ++log2n;
+    for (unsigned r = 0; r < nodes; ++r) {
+      EXPECT_EQ(read_elem<std::uint64_t>(wins[r], 0), (r + nodes - 1) % nodes);
+      EXPECT_EQ(cluster.rma(r).peer_slots(ids[r]), 2u)
+          << "N=" << nodes << " rank " << r;
+      EXPECT_EQ(cluster.comm(r).gates_created(), log2n)
+          << "N=" << nodes << " rank " << r;
+      EXPECT_EQ(cluster.comm(r).requests_live(), 0u) << "rank " << r;
+      const std::string node = "node" + std::to_string(r);
+      EXPECT_EQ(cluster.metrics().value(node + "/nm/gates"), log2n);
+      EXPECT_EQ(cluster.metrics().value(node + "/nm/requests/live"), 0.0);
+    }
+    check_conservation(cluster, nodes);
+  }
+}
+
 // ------------------------------------------------- passive-target claim
 
 // The tentpole assertion: under PIOMan the target of an entire RMA epoch

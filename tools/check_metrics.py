@@ -52,6 +52,12 @@ matches into match-on-arrival plus claim-from-buffer; summed over a
 node's shards, the posted receives equal the node's nm/recvs counter; and
 every shard reports its live sequence-cursor count (the flows gauge) as a
 non-negative integer.
+Whenever a document carries the nm memory gauges (nodeN/nm/requests/live,
+nodeN/nm/requests/pooled and nodeN/nm/gates), they are checked too: every
+export is taken after the run drained, so no request may still be live
+(a live one was never waited, tested or continued — a leak).  The gauges
+must be non-negative integers, and gates <= node count is a schema sanity
+check only (the gate index has one slot per node, so it cannot overflow).
 With --expect-spans, additionally validates the causal-tracing section:
 every opened span closed, every parent_span_id resolves inside its own
 trace, span trees are acyclic with a single root, each tail exemplar's
@@ -130,11 +136,42 @@ def check_document(path: str) -> dict:
         fail(f"{path}: more pairs than requests ({attr['pairs']})")
     if attr["critical_path_us"]["count"] != attr["sends"] + attr["recvs"]:
         fail(f"{path}: critical_path count != sends + recvs")
+    check_nm_memory(path, counters, metrics["gauges"])
     print(f"check_metrics: {path}: ok "
           f"({attr['sends']} sends, {attr['recvs']} recvs, "
           f"crit {attr['critical_path_us']['mean']:.2f} us, "
           f"offl {attr['offloaded_us']['mean']:.2f} us)")
     return doc
+
+
+def check_nm_memory(path: str, counters: dict, gauges: dict) -> None:
+    nodes = sorted({name.split("/")[0] for name in counters
+                    if name.startswith("node") and name.endswith("/nm/sends")})
+    checked = pooled_max = gates_max = 0
+    for node in nodes:
+        names = [f"{node}/nm/requests/live", f"{node}/nm/requests/pooled",
+                 f"{node}/nm/gates"]
+        values = [gauges.get(n) for n in names]
+        if all(v is None for v in values):
+            continue
+        for name, v in zip(names, values):
+            if not isinstance(v, (int, float)) or v < 0 or v != int(v):
+                fail(f"{path}: gauge {name} missing or not a non-negative "
+                     f"integer ({v!r})")
+        live, pooled, gates = values
+        if live != 0:
+            fail(f"{path}: {node}: {int(live)} nm request(s) still live in a "
+                 f"drained export (never waited, tested or continued)")
+        if gates > len(nodes):
+            fail(f"{path}: {node}: {int(gates)} gates for a "
+                 f"{len(nodes)}-node cluster")
+        checked += 1
+        pooled_max = max(pooled_max, int(pooled))
+        gates_max = max(gates_max, int(gates))
+    if checked:
+        print(f"check_metrics: {path}: nm memory ok ({checked} nodes drained; "
+              f"pool high-water <= {pooled_max} requests, <= {gates_max} "
+              f"gates per node)")
 
 
 def check_coll(path: str, doc: dict) -> None:
