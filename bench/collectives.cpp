@@ -1,5 +1,7 @@
 // Collective latency by algorithm: every column forces one schedule-DAG
-// algorithm through the coll engine; "ar auto" is the autotuner's pick.
+// algorithm through the coll engine; "ar auto" and "ag auto" are the
+// autotuner's picks.  Allgather takes no algorithm argument, so its
+// columns force one through Config::coll_algo.
 // Set PM2_METRICS=<path> to export the last run's registry (including the
 // nodeN/coll counters) as metrics.json.
 #include <cstdio>
@@ -15,12 +17,13 @@ using namespace pm2;
 using nm::coll::Algo;
 
 template <typename Body>
-double run_collective_us(bool pioman, unsigned nodes, int iters,
-                         Body&& body) {
+double run_collective_us(bool pioman, unsigned nodes, int iters, Body&& body,
+                         Algo forced = Algo::kAuto) {
   ClusterConfig cfg;
   cfg.nodes = nodes;
   cfg.cpus_per_node = 4;
   cfg.pioman = pioman;
+  cfg.nm.coll_algo = forced;
   Cluster cluster(cfg);
   std::vector<mpi::Comm> comms;
   comms.reserve(nodes);
@@ -100,5 +103,52 @@ int main() {
       "here, 256 KiB / n), every step eats a handshake round-trip and\n"
       "chunk-pipelined recursive doubling wins -- the regimes the\n"
       "autotuner switches between (ar auto).\n");
+
+  // Allgather: the ring's n-1 dependent steps against Bruck's ⌈log2 n⌉
+  // rounds, whose round-d message carries min(d, n-d) blocks.  Fewer
+  // iterations than above: the 64-rank rows dominate the run time.
+  constexpr int kAgIters = 4;
+  for (const bool pioman : {false, true}) {
+    print_header(pioman ? "Allgather per-operation time (us), PIOMan"
+                        : "Allgather per-operation time (us), app-driven",
+                 {"nodes", "block", "ag ring", "ag rd", "ag auto", "auto"});
+    for (const unsigned nodes : {4u, 8u, 64u}) {
+      for (const std::size_t block : {8ul, 512ul, 4096ul, 32768ul}) {
+        std::vector<std::vector<std::byte>> mine(
+            nodes, std::vector<std::byte>(block, std::byte{7}));
+        std::vector<std::vector<std::byte>> all(
+            nodes, std::vector<std::byte>(nodes * block));
+        const auto allgather = [&](mpi::Comm& c) {
+          const auto r = static_cast<unsigned>(c.rank());
+          c.allgather(mine[r], all[r]);
+        };
+        const double ring = run_collective_us(pioman, nodes, kAgIters,
+                                              allgather, Algo::kRing);
+        const double rd = run_collective_us(pioman, nodes, kAgIters,
+                                            allgather,
+                                            Algo::kRecursiveDoubling);
+        Algo pick = Algo::kAuto;
+        const double autotuned = run_collective_us(
+            pioman, nodes, kAgIters, [&](mpi::Comm& c) {
+              pick = c.coll().choose_allgather(block);
+              allgather(c);
+            });
+        print_cell(std::to_string(nodes));
+        print_cell(size_label(block));
+        print_cell(ring);
+        print_cell(rd);
+        print_cell(autotuned);
+        print_cell(pick == Algo::kRing ? "ring" : "rd");
+        end_row();
+      }
+    }
+  }
+  std::printf(
+      "\nBruck trades the ring's n-1 step latencies for ⌈log2 n⌉ and\n"
+      "posts that many receives instead of n-1, but its rounds carry up\n"
+      "to n/2 blocks and it stages all n in a scratch buffer the ring\n"
+      "does not need.  ag auto takes it for blocks up to 1 KiB from 4\n"
+      "ranks on, where it wins every cell; with 4 ranks the ring wins at\n"
+      "4 KiB.\n");
   return 0;
 }

@@ -110,9 +110,15 @@ CollRequest* Engine::iscatter(std::span<const std::byte> send,
 
 CollRequest* Engine::iallgather(std::span<const std::byte> send,
                                 std::span<std::byte> recv) {
-  CollRequest* cr = acquire(Algo::kRing);
-  ++stats_.algo_ring;
-  build_allgather(*cr, send, recv);
+  const Algo algo = choose_allgather(send.size());
+  CollRequest* cr = acquire(algo);
+  if (algo == Algo::kRing) {
+    ++stats_.algo_ring;
+    build_allgather(*cr, send, recv);
+  } else {
+    ++stats_.algo_recursive_doubling;
+    build_allgather_bruck(*cr, send, recv);
+  }
   launch(cr);
   return cr;
 }
@@ -508,6 +514,73 @@ void Engine::build_allgather(CollRequest& cr, std::span<const std::byte> send,
       cr.sched_.dep(prev_recv, snd);  // forward only what has landed
     }
     prev_recv = rcv;
+  }
+}
+
+// ----------------------------------------------------------- Bruck allgather
+
+void Engine::build_allgather_bruck(CollRequest& cr,
+                                   std::span<const std::byte> send,
+                                   std::span<std::byte> recv) {
+  const unsigned n = world_;
+  const unsigned me = rank();
+  const std::size_t block = send.size();
+  PM2_ASSERT(recv.size() >= block * n);
+  unsigned rounds = 0;
+  for (unsigned d = 1; d < n; d <<= 1) ++rounds;
+  cr.rounds_.resize(std::max(rounds, 1u));
+  if (n <= 1 || block == 0) {
+    if (block > 0) cr.sched_.copy(recv.first(block), send, 0);
+    return;
+  }
+  const Tag base = alloc_tags(rounds);
+  // Rotated layout: scratch block i holds rank (me + 1 + i) % n's block,
+  // so my own block sits last and the d blocks known after a round are
+  // always the trailing d.
+  cr.scratch_.resize(static_cast<std::size_t>(n) * block);
+  const std::span<std::byte> rot(cr.scratch_);
+  const auto blocks = [&](unsigned first, unsigned count) {
+    return rot.subspan(static_cast<std::size_t>(first) * block,
+                       static_cast<std::size_t>(count) * block);
+  };
+  std::uint32_t prev_send = cr.sched_.copy(blocks(n - 1, 1), send, 0);
+  std::uint32_t prev_recv = kNoOp;
+  unsigned r = 0;
+  for (unsigned d = 1; d < n; d <<= 1, ++r) {
+    // Round d: forward my trailing min(d, n - d) blocks to me + d and take
+    // the same count from me - d just below them — the dissemination
+    // barrier's partners.  Every region is written once and only read
+    // after, so the send->send chain (plus the previous recv) is the whole
+    // dependency set: no anti edges.
+    const unsigned count = std::min(d, n - d);
+    const auto round = static_cast<std::uint16_t>(r);
+    const std::uint32_t snd = cr.sched_.send(
+        (me + d) % n, base + r,
+        std::span<const std::byte>(blocks(n - count, count)), round);
+    const std::uint32_t rcv = cr.sched_.recv(
+        (me + n - d) % n, base + r, blocks(n - d - count, count), round);
+    cr.sched_.dep(prev_send, snd);
+    if (prev_recv != kNoOp) cr.sched_.dep(prev_recv, snd);
+    prev_send = snd;
+    prev_recv = rcv;
+  }
+  // Un-rotate: scratch blocks [0, n - 1 - me) are ranks me + 1 .. n - 1,
+  // the rest ranks 0 .. me.  The last send closes over every earlier
+  // recv, the last recv is the one left.
+  const auto last = static_cast<std::uint16_t>(rounds - 1);
+  const unsigned high = n - 1 - me;
+  const std::uint32_t lo_copy =
+      cr.sched_.copy(recv.first(static_cast<std::size_t>(me + 1) * block),
+                     blocks(high, me + 1), last);
+  cr.sched_.dep(prev_send, lo_copy);
+  cr.sched_.dep(prev_recv, lo_copy);
+  if (high > 0) {
+    const std::uint32_t hi_copy = cr.sched_.copy(
+        recv.subspan(static_cast<std::size_t>(me + 1) * block,
+                     static_cast<std::size_t>(high) * block),
+        blocks(0, high), last);
+    cr.sched_.dep(prev_send, hi_copy);
+    cr.sched_.dep(prev_recv, hi_copy);
   }
 }
 

@@ -141,7 +141,7 @@ class CollRequest {
 
   Engine* engine_ = nullptr;  // owner, for the ops' nm continuations
   Schedule sched_;
-  std::vector<std::byte> scratch_;   // token/sink bytes (barrier)
+  std::vector<std::byte> scratch_;   // barrier token/sinks; Bruck blocks
   std::vector<double> scratch_d_;    // reduce inboxes
   std::vector<Round> rounds_;
   std::uint32_t remaining_ = 0;
@@ -207,6 +207,8 @@ class Engine {
   /// is applied) — exposed for benchmarks and tests.
   [[nodiscard]] Algo choose_bcast(std::size_t bytes) const noexcept;
   [[nodiscard]] Algo choose_allreduce(std::size_t bytes) const noexcept;
+  /// kRecursiveDoubling means Bruck's allgather; `block` is per rank.
+  [[nodiscard]] Algo choose_allgather(std::size_t block) const noexcept;
 
   struct Stats {
     std::uint64_t started = 0;
@@ -267,6 +269,8 @@ class Engine {
                      std::span<std::byte> recv, int root);
   void build_allgather(CollRequest& cr, std::span<const std::byte> send,
                        std::span<std::byte> recv);
+  void build_allgather_bruck(CollRequest& cr, std::span<const std::byte> send,
+                             std::span<std::byte> recv);
   void build_alltoall(CollRequest& cr, std::span<const std::byte> send,
                       std::span<std::byte> recv, std::size_t block);
 

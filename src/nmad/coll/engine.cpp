@@ -17,6 +17,12 @@
 #include "marcel/cpu.hpp"
 
 namespace pm2::nm::coll {
+namespace {
+
+/// Autotuner: largest per-rank allgather block sent through Bruck.
+constexpr std::size_t kBruckMaxBlock = 1024;
+
+}  // namespace
 
 // ------------------------------------------------------------- Schedule
 
@@ -431,6 +437,19 @@ Algo Engine::choose_allreduce(std::size_t bytes) const noexcept {
   const std::size_t block = (bytes + world_ - 1) / std::max(world_, 1u);
   return block * 2 <= core_.config().rdv_threshold ? Algo::kRing
                                                    : Algo::kRecursiveDoubling;
+}
+
+Algo Engine::choose_allgather(std::size_t block) const noexcept {
+  if (forced_ == Algo::kRing || forced_ == Algo::kRecursiveDoubling) {
+    return forced_;
+  }
+  // Small blocks: Bruck's ⌈log2 n⌉ rounds beat the ring's n-1 dependent
+  // steps, and post ⌈log2 n⌉ receives instead of n-1.  Below four ranks
+  // Bruck saves no step, and for larger blocks the ring works in place
+  // while Bruck stages all n blocks in scratch (and at n = 4 loses from
+  // 4 KiB): see bench/collectives.
+  return world_ >= 4 && block <= kBruckMaxBlock ? Algo::kRecursiveDoubling
+                                                : Algo::kRing;
 }
 
 // ----------------------------------------------------------------- misc

@@ -36,8 +36,10 @@ enum class CollAlgo : std::uint8_t {
   kDissemination,      // ibarrier (the only barrier algorithm)
   kBinomial,           // ibcast: plain binomial tree
   kBinomialPipeline,   // ibcast: binomial tree, chunk-pipelined
-  kRing,               // iallreduce: reduce-scatter + allgather
-  kRecursiveDoubling,  // iallreduce: log2(n) full-vector exchanges
+  kRing,               // iallreduce: reduce-scatter + allgather;
+                       // iallgather: n-1 neighbour steps
+  kRecursiveDoubling,  // iallreduce: log2(n) full-vector exchanges;
+                       // iallgather: Bruck, ⌈log2 n⌉ rounds
   kLinear,             // gather/scatter/alltoall flat fan
 };
 

@@ -1,8 +1,9 @@
 // Communication requests: the objects isend/irecv hand back and wait()
 // consumes.  Owned and recycled by nm::Core.
 //
-// A ring allgather posts N−1 receives at once, so each node's pool peaks at
-// N−1 requests: the struct is kept to two cache lines' worth of bytes
+// A ring allgather (kept for blocks above 1 KiB) posts N−1 receives at once,
+// so each node's pool can peak at N−1 requests: the struct is kept to two
+// cache lines' worth of bytes
 // (static_assert below).  Per-request state that only some requests need
 // lives with the Core instead — the flight record in a side array indexed
 // by `slot`, the rendezvous bookkeeping in the rdv-send / RDMA-recv tables.
@@ -93,6 +94,6 @@ struct Request {
 
 static_assert(sizeof(Request) <= 128,
               "nm::Request grows every node's pool by N−1 entries per "
-              "allgather; keep optional state in Core side tables");
+              "ring allgather; keep optional state in Core side tables");
 
 }  // namespace pm2::nm

@@ -26,6 +26,7 @@ struct WorldOptions {
   bool faults = false;          // 1% drop/dup/reorder/corrupt + reliable
   std::uint64_t fuzz_seed = 0;  // schedule-exploration perturbation
   std::size_t chunk_bytes = 0;  // pipelining granularity (0 = default)
+  Algo algo = Algo::kAuto;      // Config::coll_algo (allgather's only knob)
 };
 
 class CollWorld : public ::testing::TestWithParam<Param> {
@@ -40,6 +41,7 @@ class CollWorld : public ::testing::TestWithParam<Param> {
     cfg.pioman = pioman();
     cfg.fuzz_seed = opt.fuzz_seed;
     if (opt.chunk_bytes != 0) cfg.nm.coll_chunk_bytes = opt.chunk_bytes;
+    cfg.nm.coll_algo = opt.algo;
     if (opt.faults) {
       cfg.faults.defaults.drop = 0.01;
       cfg.faults.defaults.duplicate = 0.01;
@@ -65,6 +67,11 @@ class CollWorld : public ::testing::TestWithParam<Param> {
       EXPECT_EQ(st.started, st.completed) << "rank " << r;
       EXPECT_EQ(st.ops_executed,
                 st.ops_send + st.ops_recv + st.ops_reduce + st.ops_copy)
+          << "rank " << r;
+      // Every started collective is counted under exactly one algorithm.
+      EXPECT_EQ(st.started, st.algo_dissemination + st.algo_binomial +
+                                st.algo_binomial_pipeline + st.algo_ring +
+                                st.algo_recursive_doubling + st.algo_linear)
           << "rank " << r;
       // Tag blocks are allocated in lockstep: the band cursor must agree
       // across the whole world after any collective sequence.
@@ -235,37 +242,82 @@ TEST_P(CollWorld, GatherScatterRandomizedEveryRoot) {
   }
 }
 
+// Both allgather algorithms (forced through Config::coll_algo, the only
+// way to pick one) at empty, one-byte, 8-byte and 4 KiB blocks plus a
+// ragged one, checked against the scalar reference; alltoall rides
+// along at the same block.
 TEST_P(CollWorld, AllgatherAlltoallRandomized) {
   std::mt19937 rng(0xa110u + world());
-  const std::size_t block = 1 + rng() % 200;
-  std::vector<std::vector<std::byte>> mine(world(),
-                                           std::vector<std::byte>(block));
-  std::vector<std::vector<std::byte>> all(
-      world(), std::vector<std::byte>(world() * block));
-  std::vector<std::vector<std::byte>> tx(
-      world(), std::vector<std::byte>(world() * block));
-  std::vector<std::vector<std::byte>> rx(
-      world(), std::vector<std::byte>(world() * block));
-  for (auto& v : mine) {
-    for (auto& b : v) b = static_cast<std::byte>(rng() & 0xff);
+  const std::size_t ragged = 1 + rng() % 200;
+  for (const Algo algo : {Algo::kRing, Algo::kRecursiveDoubling}) {
+    for (const std::size_t block : {0ul, 1ul, 8ul, 4096ul, ragged}) {
+      std::vector<std::vector<std::byte>> mine(world(),
+                                               std::vector<std::byte>(block));
+      std::vector<std::vector<std::byte>> all(
+          world(), std::vector<std::byte>(world() * block));
+      std::vector<std::vector<std::byte>> tx(
+          world(), std::vector<std::byte>(world() * block));
+      std::vector<std::vector<std::byte>> rx(
+          world(), std::vector<std::byte>(world() * block));
+      for (auto& v : mine) {
+        for (auto& b : v) b = static_cast<std::byte>(rng() & 0xff);
+      }
+      for (auto& v : tx) {
+        for (auto& b : v) b = static_cast<std::byte>(rng() & 0xff);
+      }
+      std::vector<Algo> ran(world(), Algo::kAuto);
+      run_world(
+          [&](Engine& coll) {
+            const unsigned me = coll.rank();
+            CollRequest* req = coll.iallgather(mine[me], all[me]);
+            ran[me] = req->algo();
+            coll.wait(req);
+            coll.wait(coll.ialltoall(tx[me], rx[me], block));
+          },
+          {.algo = algo});
+      for (unsigned r = 0; r < world(); ++r) {
+        EXPECT_EQ(ran[r], algo) << "rank " << r;
+        for (unsigned s = 0; s < world(); ++s) {
+          EXPECT_TRUE(std::equal(mine[s].begin(), mine[s].end(),
+                                 all[r].begin() + s * block))
+              << "allgather rank " << r << " block " << s << " size "
+              << block << " algo " << static_cast<int>(algo);
+          EXPECT_TRUE(std::equal(tx[s].begin() + r * block,
+                                 tx[s].begin() + (r + 1) * block,
+                                 rx[r].begin() + s * block))
+              << "alltoall rank " << r << " from " << s << " size " << block;
+        }
+      }
+    }
   }
-  for (auto& v : tx) {
-    for (auto& b : v) b = static_cast<std::byte>(rng() & 0xff);
-  }
-  run_world([&](Engine& coll) {
-    const unsigned me = coll.rank();
-    coll.wait(coll.iallgather(mine[me], all[me]));
-    coll.wait(coll.ialltoall(tx[me], rx[me], block));
-  });
-  for (unsigned r = 0; r < world(); ++r) {
-    for (unsigned s = 0; s < world(); ++s) {
-      EXPECT_TRUE(std::equal(mine[s].begin(), mine[s].end(),
-                             all[r].begin() + s * block))
-          << "allgather rank " << r << " block " << s;
-      EXPECT_TRUE(std::equal(tx[s].begin() + r * block,
-                             tx[s].begin() + (r + 1) * block,
-                             rx[r].begin() + s * block))
-          << "alltoall rank " << r << " from " << s;
+}
+
+// The autotuner sends small blocks through Bruck from four ranks on and
+// keeps the ring below that and for blocks above 1 KiB; a forced
+// algorithm wins at every size, and an allreduce/bcast-only force (here
+// binomial) leaves allgather to the autotuner.
+TEST_P(CollWorld, AllgatherAutotunerPicks) {
+  const Algo small = world() >= 4 ? Algo::kRecursiveDoubling : Algo::kRing;
+  for (const Algo forced : {Algo::kAuto, Algo::kBinomial, Algo::kRing,
+                            Algo::kRecursiveDoubling}) {
+    const bool tuned = forced == Algo::kAuto || forced == Algo::kBinomial;
+    std::vector<Algo> ran(world(), Algo::kAuto);
+    run_world(
+        [&](Engine& coll) {
+          EXPECT_EQ(coll.choose_allgather(8), tuned ? small : forced);
+          EXPECT_EQ(coll.choose_allgather(1024), tuned ? small : forced);
+          EXPECT_EQ(coll.choose_allgather(1025), tuned ? Algo::kRing : forced);
+          std::vector<std::byte> all(world() * 8);
+          const std::uint64_t mine = coll.rank();
+          CollRequest* req = coll.iallgather(
+              std::as_bytes(std::span<const std::uint64_t>(&mine, 1)), all);
+          ran[coll.rank()] = req->algo();
+          coll.wait(req);
+        },
+        {.algo = forced});
+    for (unsigned r = 0; r < world(); ++r) {
+      EXPECT_EQ(ran[r], tuned ? small : forced)
+          << "rank " << r << " forced " << static_cast<int>(forced);
     }
   }
 }
@@ -413,7 +465,8 @@ TEST_P(CollWorld, PiomanOverlapsAllreduceWithCompute) {
 std::string soak_one(std::uint64_t seed) {
   constexpr unsigned kNodes = 4;
   constexpr std::size_t kElems = 96;
-  constexpr std::size_t kBlock = 24;
+  constexpr std::size_t kBlock = 24;        // autotuned to Bruck
+  constexpr std::size_t kRingBlock = 1100;  // above Bruck's rule: the ring
   ClusterConfig cfg;
   cfg.nodes = kNodes;
   cfg.cpus_per_node = 4;
@@ -437,7 +490,16 @@ std::string soak_one(std::uint64_t seed) {
       kNodes, std::vector<std::byte>(kNodes * kBlock));
   std::vector<std::vector<std::byte>> tx(
       kNodes, std::vector<std::byte>(kNodes * kBlock));
+  std::vector<std::vector<std::byte>> wide(kNodes,
+                                           std::vector<std::byte>(kRingBlock));
+  std::vector<std::vector<std::byte>> wide_all(
+      kNodes, std::vector<std::byte>(kNodes * kRingBlock));
+  std::vector<Algo> small_algo(kNodes, Algo::kAuto);
+  std::vector<Algo> wide_algo(kNodes, Algo::kAuto);
   for (unsigned r = 0; r < kNodes; ++r) {
+    for (std::size_t i = 0; i < kRingBlock; ++i) {
+      wide[r][i] = static_cast<std::byte>((r * 17 + i * 3) & 0xff);
+    }
     for (std::size_t i = 0; i < kElems; ++i) {
       red[r][i] = static_cast<double>(r + 1) + static_cast<double>(i);
     }
@@ -456,7 +518,11 @@ std::string soak_one(std::uint64_t seed) {
       CollRequest* a = coll.iallgather(
           std::span<const std::byte>(tx[r]).first(kBlock), all[r]);
       CollRequest* b = coll.ialltoall(tx[r], rx[r], kBlock);
+      CollRequest* c = coll.iallgather(wide[r], wide_all[r]);
+      small_algo[r] = a->algo();
+      wide_algo[r] = c->algo();
       coll.wait(b);
+      coll.wait(c);
       coll.wait(a);
       coll.wait(coll.iallreduce_sum(red[r], Algo::kRecursiveDoubling));
       coll.wait(coll.ibarrier());
@@ -487,13 +553,21 @@ std::string soak_one(std::uint64_t seed) {
     for (unsigned s = 0; s < kNodes; ++s) {
       if (!std::equal(tx[s].begin(), tx[s].begin() + kBlock,
                       all[r].begin() + s * kBlock)) {
-        fail("allgather mismatch at rank " + std::to_string(r));
+        fail("Bruck allgather mismatch at rank " + std::to_string(r));
+      }
+      if (!std::equal(wide[s].begin(), wide[s].end(),
+                      wide_all[r].begin() + s * kRingBlock)) {
+        fail("ring allgather mismatch at rank " + std::to_string(r));
       }
       if (!std::equal(tx[s].begin() + r * kBlock,
                       tx[s].begin() + (r + 1) * kBlock,
                       rx[r].begin() + s * kBlock)) {
         fail("alltoall mismatch at rank " + std::to_string(r));
       }
+    }
+    if (small_algo[r] != Algo::kRecursiveDoubling ||
+        wide_algo[r] != Algo::kRing) {
+      fail("allgather autotuner picks changed at rank " + std::to_string(r));
     }
     const Engine::Stats& st = cluster.coll(r).stats();
     if (st.started != st.completed) {

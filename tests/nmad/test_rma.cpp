@@ -271,12 +271,14 @@ TEST_P(RmaMode, FenceRingExchange) {
 // ------------------------------------------------- per-peer state at scale
 
 // Per-peer state is made on first contact, so what a rank holds depends on
-// whom it talks to, not on the cluster size.  After win_create (a ring
+// whom it talks to, not on the cluster size.  After win_create (a Bruck
 // allgather) and one fence/put/fence ring step, each rank has touched two
 // window peers (left as target, right as origin) at every N, and has gates
-// only towards the partners of the dissemination barrier inside fence —
-// log2 N of them, its right neighbour among them.  Counts, not heap bytes,
-// keep this fast and deterministic.
+// only towards the partners of the dissemination barrier inside fence,
+// which the allgather's rounds share — log2 N of them, its right neighbour
+// among them.  The allgather posts one receive per round, so the request
+// pool stays within ⌈log2 N⌉ + 2 instead of the ring's N − 1.  Counts, not
+// heap bytes, keep this fast and deterministic.
 TEST(RmaScaling, PerPeerStateFollowsContactsNotClusterSize) {
   for (const unsigned nodes : {32u, 64u, 128u}) {
     ClusterConfig cfg;
@@ -310,9 +312,13 @@ TEST(RmaScaling, PerPeerStateFollowsContactsNotClusterSize) {
       EXPECT_EQ(cluster.comm(r).gates_created(), log2n)
           << "N=" << nodes << " rank " << r;
       EXPECT_EQ(cluster.comm(r).requests_live(), 0u) << "rank " << r;
+      EXPECT_LE(cluster.comm(r).requests_pooled(), log2n + 2)
+          << "N=" << nodes << " rank " << r;
       const std::string node = "node" + std::to_string(r);
       EXPECT_EQ(cluster.metrics().value(node + "/nm/gates"), log2n);
       EXPECT_EQ(cluster.metrics().value(node + "/nm/requests/live"), 0.0);
+      EXPECT_LE(cluster.metrics().value(node + "/nm/requests/pooled"),
+                log2n + 2);
     }
     check_conservation(cluster, nodes);
   }
