@@ -18,14 +18,27 @@
 // Names must be unique across kinds; duplicate registration of the same
 // name and kind returns the existing metric (so independent call sites can
 // share a counter), while a kind clash aborts — it is always a bug.
+//
+// Storage is sized for clusters that bind tens of thousands of counters:
+// each metric is one 16-byte record (kind plus pointer) and its name lives
+// in a registry-owned character arena, so registering allocates nothing
+// per metric.  Registry-owned values sit in stable side storage (their
+// references survive later registrations); only bound gauges keep a
+// std::function.  Binding appends without a lookup.  The name-ordered
+// index is built, and bound duplicates are folded or rejected, the first
+// time a lookup, size(), sum(), visit() or to_json() needs it — so a const
+// lookup may allocate, and a registry is not safe to read from two host
+// threads at once.  A binder that wants clashes caught at once calls
+// size() when it is done (pm2::Cluster does).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -66,7 +79,8 @@ class MetricsRegistry {
   // ---- lookup / export ----
 
   [[nodiscard]] bool contains(std::string_view name) const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return metrics_.size(); }
+  /// Number of distinct metric names.
+  [[nodiscard]] std::size_t size() const noexcept;
 
   /// Current numeric value of a counter/gauge by name; 0 when absent or a
   /// histogram.  The lenient default keeps report formatting total.
@@ -97,19 +111,57 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  struct Metric {
-    Kind kind;
-    std::uint64_t counter = 0;
-    double gauge = 0;
-    const std::uint64_t* bound_counter = nullptr;
-    std::function<double()> bound_gauge;
-    std::unique_ptr<Log2Histogram> hist;
+  // One metric: its name in the arena and what it reads.
+  struct Record {
+    std::uint32_t name = 0;  // chunk << kChunkBits | position in the chunk
+    std::uint16_t len = 0;
+    Kind kind = Kind::kCounter;
+    // kCounter: std::uint64_t, kBoundCounter: const std::uint64_t,
+    // kGauge: double, kBoundGauge: std::function<double()>,
+    // kHistogram: Log2Histogram.
+    const void* src = nullptr;
   };
+  static_assert(sizeof(Record) == 16);
 
-  Metric& emplace(std::string_view name, Kind kind);
-  [[nodiscard]] static double numeric(const Metric& m) noexcept;
+  // Names are packed into 4 KiB chunks (a longer name gets a chunk of its
+  // own); records into blocks of 256.  Neither ever moves, and the unused
+  // tail is at most one chunk and one block.
+  static constexpr unsigned kChunkBits = 12;
+  static constexpr unsigned kBlockBits = 8;
+  // Registry-owned registrations scan at most this many unindexed records
+  // before the index is brought up to date.
+  static constexpr std::size_t kMaxScan = 64;
 
-  std::map<std::string, Metric, std::less<>> metrics_;
+  [[nodiscard]] Record& record(std::size_t i) const noexcept {
+    return blocks_[i >> kBlockBits][i & ((1u << kBlockBits) - 1)];
+  }
+  [[nodiscard]] std::string_view name_of(const Record& r) const noexcept;
+  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const noexcept;
+  Record& append(std::string_view name, Kind kind, const void* src);
+  /// Registry-owned metric `name` of `kind`, made by `make` when new.
+  template <class Make>
+  void* owned(std::string_view name, Kind kind, Make make);
+  /// Index of the first record named `name`, or -1 (indexed or not).
+  [[nodiscard]] std::int64_t find_any(std::string_view name) const;
+  /// Record of `name` through the up-to-date index, or nullptr.
+  [[nodiscard]] const Record* find(std::string_view name) const noexcept;
+  /// Merge every unindexed record into the index, folding duplicates.
+  void index() const;
+  static void check_duplicate(const Record& first, const Record& dup);
+  [[nodiscard]] static double numeric(const Record& r) noexcept;
+
+  std::vector<std::unique_ptr<Record[]>> blocks_;
+  std::size_t records_ = 0;
+  std::vector<std::unique_ptr<char[]>> chunks_;  // the name arena
+  std::size_t chunk_used_ = 0;                   // bytes used in the last
+  std::deque<std::uint64_t> counters_;
+  std::deque<double> gauges_;
+  std::deque<Log2Histogram> histograms_;
+  std::deque<std::function<double()>> bound_gauges_;
+  // Record indexes sorted by name, one per distinct name, covering the
+  // first `indexed_` records.
+  mutable std::vector<std::uint32_t> order_;
+  mutable std::size_t indexed_ = 0;
 };
 
 }  // namespace pm2

@@ -46,7 +46,6 @@ Cpu::Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine)
       index_(index),
       cfg_(cfg),
       engine_(engine),
-      service_fiber_([this] { service_body(); }, cfg.stack_bytes),
       dispatch_timer_(&call<&Cpu::dispatch>, this),
       resume_timer_(&call<&Cpu::run_occupant>, this),
       switch_timer_(&call<&Cpu::run_occupant>, this),
@@ -222,6 +221,9 @@ void Cpu::begin_run(Occupant what, Thread* t) {
   } else {
     set_core_state(!tasklets_.empty() ? CoreState::kTasklet
                                       : CoreState::kEngine);
+    if (!service_fiber_) {
+      service_fiber_.emplace([this] { service_body(); }, cfg_.stack_bytes);
+    }
   }
   ++stats_.ctx_switches;
   need_resched_ = false;
@@ -293,7 +295,7 @@ void Cpu::end_poll_chunk() {
 
 void Cpu::resume_occupant() {
   sim::Fiber& f =
-      occ_ == Occupant::kThread ? cur_thread_->fiber_ : service_fiber_;
+      occ_ == Occupant::kThread ? cur_thread_->fiber_ : *service_fiber_;
   Cpu* prev_cpu = t_cpu;
   Thread* prev_thread = t_thread;
   t_cpu = this;

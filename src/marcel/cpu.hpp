@@ -1,8 +1,11 @@
 // One virtual core: per-priority runqueues, a tasklet queue, and a service
-// fiber that executes tasklets and idle-time polling (PIOMan's hooks).
+// fiber that executes tasklets and idle-time polling (PIOMan's hooks).  The
+// service fiber and its stack are built the first time the core enters
+// service mode, so a core that only runs threads maps no service stack.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -292,7 +295,6 @@ class Cpu {
   std::size_t ready_count_ = 0;
   IntrusiveList<Tasklet, &Tasklet::queue_hook> tasklets_;
 
-  sim::Fiber service_fiber_;
   bool service_idle_mode_ = false;
   std::uint64_t work_seq_ = 0;          // bumped by note_new_work()
   std::uint64_t service_round_seq_ = 0; // work_seq_ at idle-round start
@@ -346,6 +348,8 @@ class Cpu {
   bool spin_parked_ = false;
   SimTime spin_t0_ = 0;
   SimDuration spin_step_ = 0;
+
+  std::optional<sim::Fiber> service_fiber_;  // built on first service entry
 };
 
 namespace detail {

@@ -25,8 +25,6 @@ Fabric::Fabric(sim::Engine& engine, unsigned nodes,
       nics_.push_back(std::make_unique<Nic>(*this, n, r));
     }
   }
-  busy_.assign(static_cast<std::size_t>(nodes) * nodes * rails_, 0);
-  last_arrival_.assign(static_cast<std::size_t>(nodes) * nodes * rails_, 0);
   rdma_.resize(nodes);
 }
 
@@ -60,10 +58,30 @@ Nic& Fabric::nic(unsigned node, unsigned rail) noexcept {
   return *nics_[static_cast<std::size_t>(node) * rails_ + rail];
 }
 
-SimTime& Fabric::busy_until(unsigned src, unsigned dst,
-                            unsigned rail) noexcept {
-  return busy_[(static_cast<std::size_t>(src) * nodes_ + dst) * rails_ +
-               rail];
+SimTime& Fabric::LinkTable::operator[](std::size_t link) {
+  if ((size_ + 1) * 2 > slots_.size()) grow();  // load ≤ 1/2
+  const std::size_t mask = slots_.size() - 1;
+  const std::size_t key = link + 1;
+  // Fibonacci hashing spreads the dense link indexes over the table.
+  for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> 32 & mask;;
+       i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.key == key) return s.time;
+    if (s.key == 0) {
+      s.key = key;
+      ++size_;
+      return s.time;
+    }
+  }
+}
+
+void Fabric::LinkTable::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(slots_.size() * 2, 64));
+  old.swap(slots_);
+  size_ = 0;
+  for (const Slot& s : old) {
+    if (s.key != 0) (*this)[s.key - 1] = s.time;
+  }
 }
 
 void Fabric::transmit(unsigned src, unsigned dst, unsigned rail,
@@ -83,7 +101,9 @@ void Fabric::transmit(unsigned src, unsigned dst, unsigned rail,
 
   // FIFO link with serialization: a packet starts once the previous one has
   // left the serializer; latency pipelines across packets.
-  SimTime& busy = busy_until(src, dst, rail);
+  const std::size_t link =
+      (static_cast<std::size_t>(src) * nodes_ + dst) * rails_ + rail;
+  SimTime& busy = busy_[link];
   const SimTime start = std::max(engine_.now(), busy);
   busy = start + serialize;
   SimTime arrival = start + serialize + latency;
@@ -91,10 +111,9 @@ void Fabric::transmit(unsigned src, unsigned dst, unsigned rail,
     // Deterministic congestion noise; FIFO per link is preserved by
     // clamping against the previous arrival.
     arrival += jitter_rng_.next_below(cm.wire_jitter_ns + 1);
-    const std::size_t link =
-        (static_cast<std::size_t>(src) * nodes_ + dst) * rails_ + rail;
-    arrival = std::max(arrival, last_arrival_[link]);
-    last_arrival_[link] = arrival;
+    SimTime& last = last_arrival_[link];
+    arrival = std::max(arrival, last);
+    last = arrival;
   }
 
   event.rdma_offset = rdma_offset;

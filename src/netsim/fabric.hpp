@@ -1,5 +1,7 @@
 // The interconnect: all NICs plus the link model (latency + serialization
-// with per-link occupancy, FIFO delivery per link).
+// with per-link occupancy, FIFO delivery per link).  Per-link state is kept
+// for the directed (src, dst, rail) links that have carried traffic, not
+// for all N² × rails of them.
 #pragma once
 
 #include <map>
@@ -57,7 +59,33 @@ class Fabric {
   [[nodiscard]] std::span<std::byte> rdma_target(unsigned node,
                                                  RdmaHandle h) const;
 
+  /// Directed (src, dst, rail) links with occupancy state: those that have
+  /// carried at least one transmission.
+  [[nodiscard]] std::size_t link_entries() const noexcept {
+    return busy_.size();
+  }
+
  private:
+  /// Per-link times keyed by flattened link index, made on first use: an
+  /// open-addressing table with linear probing, so a lookup costs a hash
+  /// and, at the load kept here, about one probe.
+  class LinkTable {
+   public:
+    /// The link's time, 0 when first touched.
+    SimTime& operator[](std::size_t link);
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    struct Slot {
+      std::size_t key = 0;  // link + 1; 0 marks an empty slot
+      SimTime time = 0;
+    };
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
   friend class Nic;
 
   /// Schedule delivery of `event` from (src,rail) to dst, `bytes` long on
@@ -66,16 +94,15 @@ class Fabric {
                 RxEvent event, Nic::Completion on_delivered,
                 std::size_t rdma_offset = 0);
 
-  /// Directed link occupancy: when the (src,dst,rail) serializer frees up.
-  SimTime& busy_until(unsigned src, unsigned dst, unsigned rail) noexcept;
-
   sim::Engine& engine_;
   unsigned nodes_;
   unsigned rails_;
   std::vector<CostModel> costs_;  // one per rail
   std::vector<std::unique_ptr<Nic>> nics_;  // [node * rails + rail]
-  std::vector<SimTime> busy_;               // [src][dst][rail] flattened
-  std::vector<SimTime> last_arrival_;       // per link, keeps FIFO w/ jitter
+  // When each link's serializer frees up, and each link's last arrival
+  // (FIFO under jitter; stays empty on jitter-free rails).
+  LinkTable busy_;
+  LinkTable last_arrival_;
   sim::Rng jitter_rng_;
   std::unique_ptr<FaultInjector> faults_;
 

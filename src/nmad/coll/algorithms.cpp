@@ -538,6 +538,7 @@ void Engine::build_allgather_bruck(CollRequest& cr,
   // so my own block sits last and the d blocks known after a round are
   // always the trailing d.
   cr.scratch_.resize(static_cast<std::size_t>(n) * block);
+  cr.scratch_per_rank_ = true;
   const std::span<std::byte> rot(cr.scratch_);
   const auto blocks = [&](unsigned first, unsigned count) {
     return rot.subspan(static_cast<std::size_t>(first) * block,

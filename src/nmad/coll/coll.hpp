@@ -146,6 +146,9 @@ class CollRequest {
   std::vector<Round> rounds_;
   std::uint32_t remaining_ = 0;
   bool done_ = false;
+  // scratch_ holds a block per rank (Bruck): freed when the collective
+  // completes.
+  bool scratch_per_rank_ = false;
   std::optional<piom::Cond> cond_;
   Algo algo_ = Algo::kAuto;
   SimTime issued_at_ = 0;
@@ -229,6 +232,10 @@ class Engine {
     std::uint64_t tag_blocks = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+  /// Capacity of the staging buffers this engine's requests hold, live
+  /// and pooled, in bytes.
+  [[nodiscard]] std::size_t scratch_bytes() const noexcept;
 
   /// Bind every counter above into `registry` under `prefix` (e.g.
   /// "node0/coll"), following the subsystem convention.

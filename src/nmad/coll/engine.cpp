@@ -156,6 +156,7 @@ CollRequest* Engine::acquire(Algo algo) {
   cr->sched_.clear();
   cr->scratch_.clear();
   cr->scratch_d_.clear();
+  cr->scratch_per_rank_ = false;
   cr->rounds_.clear();
   cr->remaining_ = 0;
   cr->done_ = false;
@@ -170,6 +171,15 @@ CollRequest* Engine::acquire(Algo algo) {
     }
   }
   return cr;
+}
+
+std::size_t Engine::scratch_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (const auto& cr : pool_) {
+    bytes += cr->scratch_.capacity() +
+             cr->scratch_d_.capacity() * sizeof(double);
+  }
+  return bytes;
 }
 
 void Engine::release(CollRequest* cr) {
@@ -344,6 +354,12 @@ void Engine::finish(CollRequest* cr) {
   PM2_ASSERT(!cr->done_);
   cr->done_ = true;
   ++stats_.completed;
+  // Bruck's rotated copy holds a block per rank: a pooled request must not
+  // keep it for the rest of the run.  The other staging buffers are
+  // bounded by rounds and payload, and stay for the next collective.
+  if (cr->scratch_per_rank_) {
+    std::vector<std::byte>().swap(cr->scratch_);
+  }
   if (cr->trace_id_ != 0) {
     trace_->record(cr->trace_id_, cr->root_span_, 0,
                    pm2::tracing::EventKind::kCollDone,

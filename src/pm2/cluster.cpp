@@ -305,6 +305,10 @@ void Cluster::bind_all_metrics() {
   metrics_.bind_gauge("sim/fiber_stacks/pooled", [] {
     return static_cast<double>(sim::Fiber::stacks_pooled());
   });
+  // Binding appends without a lookup; building the name index here makes
+  // a duplicate or clashing binding above abort at construction, not at
+  // the first export.
+  (void)metrics_.size();
 }
 
 bool Cluster::write_metrics_json(const std::string& path) {

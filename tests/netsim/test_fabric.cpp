@@ -121,6 +121,36 @@ TEST(Fabric, LinkSerializationDelaysBackToBack) {
   EXPECT_GE(arrivals[1] - arrivals[0], cm.wire_time(sz) - kUs);
 }
 
+TEST(Fabric, LinkStateIsMadeOnFirstUseAndKept) {
+  // Link occupancy is kept only for links that carried traffic.  A large
+  // packet to node 1, then one small packet to each of 46 other nodes
+  // (the link table grows and rehashes meanwhile), then a small packet to
+  // node 1: it must still queue behind the large one.
+  constexpr unsigned kNodes = 48;
+  sim::Engine eng;
+  marcel::Config mc;
+  mc.nodes = kNodes;
+  mc.cpus_per_node = 1;
+  marcel::Runtime rt(eng, mc);
+  Fabric fabric(eng, kNodes, 1, CostModel{});
+  EXPECT_EQ(fabric.link_entries(), 0u);
+  const std::size_t big = 100'000;
+  rt.node(0).spawn([&] {
+    fabric.nic(0).inject(1, bytes(big, 1));
+    for (unsigned dst = 2; dst < kNodes; ++dst) {
+      fabric.nic(0).inject(dst, bytes(8, 2));
+    }
+    fabric.nic(0).inject(1, bytes(8, 3));
+  });
+  eng.run();
+  EXPECT_EQ(fabric.link_entries(), kNodes - 1);
+  auto first = fabric.nic(1).poll();
+  auto second = fabric.nic(1).poll();
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->data.size(), big);
+  EXPECT_EQ(second->data.size(), 8u);
+}
+
 TEST(Fabric, RailsAreIndependentLinks) {
   Rig rig(/*rails=*/2);
   const std::size_t sz = 100'000;

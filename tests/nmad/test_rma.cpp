@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "nmad/rma/rma.hpp"
@@ -321,6 +323,53 @@ TEST(RmaScaling, PerPeerStateFollowsContactsNotClusterSize) {
                 log2n + 2);
     }
     check_conservation(cluster, nodes);
+  }
+}
+
+// The fabric keeps occupancy state only for links that carried traffic,
+// and no collective keeps a buffer with a block per rank once done.  In
+// the run above rank r sends to r + 2^k for every round k of the allgather
+// and the fence's barrier (one of them its right neighbour, the put's
+// target), and the target's put completion comes back over (r + 1 → r): a
+// control packet, which uses a link but makes no gate.  Bruck's N-block
+// scratch is gone as soon as win_create returns; what the fences'
+// barriers keep is their token and sinks, one byte per round plus one.
+TEST(RmaScaling, FabricLinksAndCollScratchFollowUse) {
+  for (const unsigned nodes : {32u, 64u, 128u}) {
+    ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.cpus_per_node = 2;
+    cfg.pioman = false;
+    cfg.rma = true;
+    Cluster cluster(cfg);
+    EXPECT_EQ(cluster.fabric().link_entries(), 0u);
+    std::vector<std::vector<std::byte>> wins(nodes,
+                                             std::vector<std::byte>(8));
+    std::vector<std::size_t> scratch_after_create(nodes, 1);
+    for (unsigned r = 0; r < nodes; ++r) {
+      cluster.run_on(r, [&, r] {
+        Engine& rma = cluster.rma(r);
+        const WinId win = rma.win_create(wins[r]);
+        scratch_after_create[r] = cluster.coll(r).scratch_bytes();
+        rma.fence(win);
+        EXPECT_EQ(rma.put(win, (r + 1) % nodes, 0,
+                          pack_elems<std::uint64_t>({r})),
+                  Status::kOk);
+        rma.fence(win);
+      });
+    }
+    cluster.run();
+
+    std::size_t rounds = 0;
+    for (unsigned d = 1; d < nodes; d <<= 1) ++rounds;
+    std::set<std::pair<unsigned, unsigned>> used;
+    for (unsigned r = 0; r < nodes; ++r) {
+      for (unsigned d = 1; d < nodes; d <<= 1) used.emplace(r, (r + d) % nodes);
+      used.emplace((r + 1) % nodes, r);
+      EXPECT_EQ(scratch_after_create[r], 0u) << "N=" << nodes << " rank " << r;
+      EXPECT_LE(cluster.coll(r).scratch_bytes(), rounds + 1) << "rank " << r;
+    }
+    EXPECT_EQ(cluster.fabric().link_entries(), used.size()) << "N=" << nodes;
   }
 }
 
