@@ -159,6 +159,15 @@ class Server {
   /// long-lived setups; optional for tests).
   void shutdown();
 
+  /// For an owner whose engine dies with it and is stepped no more: let go
+  /// of the LWP unjoined, so destruction runs no events (the destructor
+  /// otherwise steps the engine until the LWP exits, which may run any
+  /// node's threads).
+  void detach_lwp() noexcept {
+    shutdown_ = true;
+    lwp_ = nullptr;
+  }
+
   // ---- statistics ----
   struct Stats {
     std::uint64_t poll_rounds = 0;

@@ -46,14 +46,20 @@ Cpu::Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine)
       index_(index),
       cfg_(cfg),
       engine_(engine),
-      dispatch_timer_(&call<&Cpu::dispatch>, this),
-      resume_timer_(&call<&Cpu::run_occupant>, this),
-      switch_timer_(&call<&Cpu::run_occupant>, this),
+      dispatch_timer_(&call<&Cpu::dispatch>, this, sim::TimerQueue::kHeap,
+                      sim::node_lane(node.index())),
+      resume_timer_(&call<&Cpu::run_occupant>, this, sim::TimerQueue::kHeap,
+                    sim::node_lane(node.index())),
+      switch_timer_(&call<&Cpu::run_occupant>, this, sim::TimerQueue::kHeap,
+                    sim::node_lane(node.index())),
       granule_timer_(&call<&Cpu::end_spin_granule>, this,
-                     sim::TimerQueue::kSide),
-      poll_timer_(&call<&Cpu::end_poll_chunk>, this),
-      tick_timer_(&call<&Cpu::on_tick>, this),
-      deadline_timer_(&call<&Cpu::spin_wake>, this) {}
+                     sim::TimerQueue::kSide, sim::node_lane(node.index())),
+      poll_timer_(&call<&Cpu::end_poll_chunk>, this, sim::TimerQueue::kHeap,
+                  sim::node_lane(node.index())),
+      tick_timer_(&call<&Cpu::on_tick>, this, sim::TimerQueue::kHeap,
+                  sim::node_lane(node.index())),
+      deadline_timer_(&call<&Cpu::spin_wake>, this, sim::TimerQueue::kHeap,
+                      sim::node_lane(node.index())) {}
 
 Cpu::~Cpu() {
   // The engine may outlive the core: leave no key that calls back into it.
@@ -446,6 +452,16 @@ SimDuration Cpu::compute_chunk(SimDuration d) {
   if (sim::ScheduleFuzzer* fz = engine_.fuzzer()) {
     chunk = fz->perturb_chunk(chunk);  // extra preemption points
   }
+  ++stats_.compute_chunks;
+  if (!lockdep::enabled() && engine_.run_ahead(engine_.now() + chunk)) {
+    // Nothing can reach this node before the chunk ends: its end event
+    // would be the lane's next one, so do here what run_occupant() would
+    // do there and carry on without suspending.
+    ++stats_.chunks_inlined;
+    if (node_.spinners_ != 0) node_.wake_spinners(this);
+    charge(chunk);
+    return d - chunk;
+  }
   chunk_start_ = engine_.now();
   engine_.arm_after(resume_timer_, chunk);
   suspend_current(SuspendReason::kCompute);
@@ -701,6 +717,8 @@ void Cpu::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/polls_elided", &stats_.polls_elided);
   registry.bind_counter(p + "/spin_granules", &stats_.spin_granules);
   registry.bind_counter(p + "/engine_polls", &stats_.engine_polls);
+  registry.bind_counter(p + "/compute_chunks", &stats_.compute_chunks);
+  registry.bind_counter(p + "/chunks_inlined", &stats_.chunks_inlined);
   for (std::size_t i = 0; i < kNumCoreStates; ++i) {
     registry.bind_counter(
         p + "/state/" + core_state_name(static_cast<CoreState>(i)) + "_ns",

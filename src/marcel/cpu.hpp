@@ -132,6 +132,9 @@ class Cpu {
   /// compute.  Callers loop via this_thread::compute(), re-fetching the
   /// current CPU each iteration because a preemption may migrate the
   /// thread.  Also usable from the service fiber (tasklet/poll costs).
+  /// When sim::Engine::run_ahead() allows it (and lockdep is off), the
+  /// chunk runs inline: the node's clock jumps to the chunk end with no
+  /// event and no fiber switch (Stats::chunks_inlined).
   [[nodiscard]] SimDuration compute_chunk(SimDuration d);
 
   /// compute_chunk() for a busy-wait on a lock word, in `step` granules:
@@ -235,6 +238,9 @@ class Cpu {
     std::uint64_t spin_granules = 0; // lock-spin granules re-armed in engine
                                      // context (no fiber switch)
     std::uint64_t engine_polls = 0;  // poll rounds opened in engine context
+    std::uint64_t compute_chunks = 0;  // compute_chunk() chunks taken
+    std::uint64_t chunks_inlined = 0;  // of which ran ahead inline, with
+                                       // no event or fiber switch
 
     void merge(const Stats& o) noexcept {
       thread_busy_ns += o.thread_busy_ns;
@@ -247,6 +253,8 @@ class Cpu {
       polls_elided += o.polls_elided;
       spin_granules += o.spin_granules;
       engine_polls += o.engine_polls;
+      compute_chunks += o.compute_chunks;
+      chunks_inlined += o.chunks_inlined;
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

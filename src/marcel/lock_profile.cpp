@@ -1,12 +1,13 @@
 #include "marcel/lock_profile.hpp"
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/metrics.hpp"
@@ -31,24 +32,31 @@ struct SiteStats {
   }
 };
 
+// A contended acquisition in progress.  Several fibers can be pending on
+// one lock at once, a fiber keeps its identity across core migrations,
+// and two host threads each driving their own engine stay apart.
+struct Waiter {
+  std::thread::id host;
+  const void* fiber;
+  SimTime since;
+};
+
+// One record per lock instance, at a stable address (an unordered_map
+// element) from its first registration or event until reset() or
+// unregister_site() drops it.  Only the host thread driving the lock's
+// engine touches its counters.
 struct Site {
   std::string name;
   bool named = false;
   SiteStats st;
   bool held = false;
   SimTime hold_start = 0;
+  std::vector<Waiter> waiters;
 };
 
-// Waiters are keyed by (lock, host thread, fiber): several fibers can be
-// pending on one lock at once, a fiber keeps its identity across core
-// migrations, and two host threads each driving their own engine stay
-// apart.
-using WaitKey = std::tuple<const void*, std::thread::id, const void*>;
-
 struct State {
-  std::mutex mu;
+  std::mutex mu;  // guards `sites` and the records' names
   std::unordered_map<const void*, Site> sites;
-  std::map<WaitKey, SimTime> pending;
 };
 
 State& state() {
@@ -57,6 +65,18 @@ State& state() {
 }
 
 std::atomic<int> g_enabled{0};
+// Bumped whenever a record is dropped, which stales every cached pointer.
+std::atomic<std::uint64_t> g_generation{1};
+
+// Per-host-thread cache of lock -> record, so the hot path takes no mutex
+// and does no map lookup.
+struct CacheEntry {
+  const void* lock = nullptr;
+  Site* site = nullptr;
+  std::uint64_t generation = 0;
+};
+constexpr std::size_t kCacheSize = 64;
+thread_local CacheEntry t_cache[kCacheSize];
 
 // Every instrumented lock runs on a virtual core (engine-context lock
 // traffic included: it stands in for a fiber on a core).
@@ -67,28 +87,39 @@ SimTime stamp_now() noexcept {
   return cpu->engine().now();
 }
 
-WaitKey wait_key(const void* lock) noexcept {
-  return {lock, std::this_thread::get_id(), sim::Fiber::current()};
+// The record of `lock`, made (named after `cls`) on first use; with a null
+// `cls`, nullptr when there is none.
+Site* site_of(const void* lock, const char* cls) {
+  const auto h = reinterpret_cast<std::uintptr_t>(lock);
+  CacheEntry& e = t_cache[(h >> 4 ^ h >> 12) % kCacheSize];
+  const std::uint64_t gen = g_generation.load(std::memory_order_acquire);
+  if (e.lock == lock && e.generation == gen) return e.site;
+  State& s = state();
+  std::lock_guard<std::mutex> g(s.mu);
+  auto it = s.sites.find(lock);
+  if (it == s.sites.end()) {
+    if (cls == nullptr) return nullptr;
+    it = s.sites.emplace(lock, Site{}).first;
+    it->second.name = std::string("locks/") + cls;
+  }
+  e = CacheEntry{lock, &it->second, gen};
+  return e.site;
 }
 
 // Called with mu held.
-Site& site_for(State& s, const void* lock, const char* cls) {
-  Site& site = s.sites[lock];
-  if (site.name.empty()) site.name = std::string("locks/") + cls;
-  return site;
-}
-
 void reset_locked(State& s) {
-  s.pending.clear();
   for (auto it = s.sites.begin(); it != s.sites.end();) {
-    if (it->second.named) {
-      it->second.st = SiteStats{};
-      it->second.held = false;
+    Site& site = it->second;
+    if (site.named) {
+      site.st = SiteStats{};
+      site.held = false;
+      site.waiters.clear();
       ++it;
     } else {
       it = s.sites.erase(it);
     }
   }
+  g_generation.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace
@@ -128,29 +159,43 @@ void register_site(const void* lock, std::string name) {
 void unregister_site(const void* lock) {
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);
-  s.sites.erase(lock);
+  if (s.sites.erase(lock) != 0) {
+    g_generation.fetch_add(1, std::memory_order_release);
+  }
 }
 
-void note_contended(const void* lock, const char* /*lock_class*/) {
+void note_contended(const void* lock, const char* lock_class) {
   if (!enabled()) return;
   const SimTime now = stamp_now();
-  State& s = state();
-  std::lock_guard<std::mutex> g(s.mu);
-  s.pending[wait_key(lock)] = now;
+  Site& site = *site_of(lock, lock_class);
+  const std::thread::id host = std::this_thread::get_id();
+  const void* fiber = sim::Fiber::current();
+  for (Waiter& w : site.waiters) {
+    if (w.host == host && w.fiber == fiber) {
+      w.since = now;
+      return;
+    }
+  }
+  site.waiters.push_back(Waiter{host, fiber, now});
 }
 
 void note_acquired(const void* lock, const char* lock_class, bool contended) {
   if (!enabled()) return;
   const SimTime now = stamp_now();
-  State& s = state();
-  std::lock_guard<std::mutex> g(s.mu);
-  Site& site = site_for(s, lock, lock_class);
+  Site& site = *site_of(lock, lock_class);
   ++site.st.acq;
   if (contended) ++site.st.contended;
-  if (const auto it = s.pending.find(wait_key(lock));
-      it != s.pending.end()) {
-    site.st.wait_us.add((now - it->second) / 1000);
-    s.pending.erase(it);
+  if (!site.waiters.empty()) {
+    const std::thread::id host = std::this_thread::get_id();
+    const void* fiber = sim::Fiber::current();
+    for (std::size_t i = 0; i < site.waiters.size(); ++i) {
+      const Waiter& w = site.waiters[i];
+      if (w.host != host || w.fiber != fiber) continue;
+      site.st.wait_us.add((now - w.since) / 1000);
+      site.waiters[i] = site.waiters.back();
+      site.waiters.pop_back();
+      break;
+    }
   }
   site.held = true;
   site.hold_start = now;
@@ -159,13 +204,10 @@ void note_acquired(const void* lock, const char* lock_class, bool contended) {
 void note_released(const void* lock) {
   if (!enabled()) return;
   const SimTime now = stamp_now();
-  State& s = state();
-  std::lock_guard<std::mutex> g(s.mu);
-  const auto it = s.sites.find(lock);
-  if (it == s.sites.end() || !it->second.held) return;
-  Site& site = it->second;
-  site.held = false;
-  site.st.hold_us.add((now - site.hold_start) / 1000);
+  Site* site = site_of(lock, nullptr);
+  if (site == nullptr || !site->held) return;
+  site->held = false;
+  site->st.hold_us.add((now - site->hold_start) / 1000);
 }
 
 std::vector<SiteSnapshot> snapshot() {
@@ -173,6 +215,9 @@ std::vector<SiteSnapshot> snapshot() {
   std::lock_guard<std::mutex> g(s.mu);
   std::map<std::string, SiteStats> by_name;
   for (const auto& [lock, site] : s.sites) {
+    // A lock that was only ever contended has no record yet as far as
+    // the profile goes: it appears with its first acquisition.
+    if (!site.named && site.st.acq == 0) continue;
     by_name[site.name].merge(site.st);
   }
   std::vector<SiteSnapshot> out;

@@ -17,7 +17,8 @@ Fabric::Fabric(sim::Engine& engine, unsigned nodes,
       nodes_(nodes),
       rails_(static_cast<unsigned>(rail_costs.size())),
       costs_(std::move(rail_costs)),
-      jitter_rng_(costs_.empty() ? 0 : costs_[0].jitter_seed) {
+      jitter_rng_(costs_.empty() ? 0 : costs_[0].jitter_seed),
+      next_rdma_(nodes, 1) {
   PM2_ASSERT(nodes >= 1 && rails_ >= 1);
   nics_.reserve(static_cast<std::size_t>(nodes) * rails_);
   for (unsigned n = 0; n < nodes; ++n) {
@@ -30,7 +31,7 @@ Fabric::Fabric(sim::Engine& engine, unsigned nodes,
 
 RdmaHandle Fabric::register_rdma(unsigned node, std::span<std::byte> target) {
   PM2_ASSERT(node < nodes_);
-  const RdmaHandle h = next_rdma_++;
+  const RdmaHandle h = next_rdma_[node]++;
   rdma_[node].emplace(h, target);
   return h;
 }
@@ -49,8 +50,19 @@ std::span<std::byte> Fabric::rdma_target(unsigned node, RdmaHandle h) const {
   return it->second;
 }
 
+SimDuration Fabric::lookahead() const noexcept {
+  if (faults_ != nullptr) return 0;
+  SimDuration least = kSimTimeNever;
+  for (const CostModel& cm : costs_) {
+    if (cm.wire_jitter_ns > 0) return 0;
+    least = std::min(least, cm.wire_latency);
+  }
+  return least;
+}
+
 void Fabric::install_faults(FaultPlan plan, std::uint64_t seed) {
   faults_ = std::make_unique<FaultInjector>(std::move(plan), seed);
+  engine_.set_lookahead(0);
 }
 
 Nic& Fabric::nic(unsigned node, unsigned rail) noexcept {
@@ -139,19 +151,23 @@ void Fabric::transmit(unsigned src, unsigned dst, unsigned rail,
     for (unsigned c = 1; c <= act.extra_copies; ++c) {
       constexpr SimDuration kDupGap = 500;  // ns between duplicate copies
       RxEvent dup = event;
-      engine_.schedule_at(arrival + c * kDupGap,
+      engine_.schedule_on(sim::node_lane(dst), arrival + c * kDupGap,
                           [this, dst, rail, ev = std::move(dup)]() mutable {
                             nic(dst, rail).deliver(std::move(ev));
                           });
     }
   }
 
-  engine_.schedule_at(
-      arrival, [this, dst, rail, ev = std::move(event),
-                cb = std::move(on_delivered)]() mutable {
-        nic(dst, rail).deliver(std::move(ev));
-        if (cb) cb();
-      });
+  // The arrival is the receiver's event; the sender learns of it in an
+  // event of its own at the same instant, drawn right after, so the two
+  // run back to back.
+  engine_.schedule_on(sim::node_lane(dst), arrival,
+                      [this, dst, rail, ev = std::move(event)]() mutable {
+                        nic(dst, rail).deliver(std::move(ev));
+                      });
+  if (on_delivered) {
+    engine_.schedule_on(sim::node_lane(src), arrival, std::move(on_delivered));
+  }
 }
 
 }  // namespace pm2::net

@@ -44,8 +44,13 @@ class Fabric {
 
   [[nodiscard]] Nic& nic(unsigned node, unsigned rail = 0) noexcept;
 
-  /// RDMA registry is per *node* (all rails of a node share the memory
-  /// registration unit), so multirail stripes can target one buffer.
+  /// The least delay between an inter-node send and its arrival: the
+  /// least wire latency over the rails, or 0 while a rail jitters or a
+  /// fault plan is installed (both draw from fabric-wide random streams,
+  /// so their draws must stay in the global event order).  The engine's
+  /// lookahead.
+  [[nodiscard]] SimDuration lookahead() const noexcept;
+
   /// Install a fault-injection plan (replaces any previous one).  The
   /// injector applies to inter-node packet traffic only; with none
   /// installed the lossless fast path is untouched.
@@ -53,6 +58,9 @@ class Fabric {
   /// The active injector, or nullptr when the fabric is lossless.
   [[nodiscard]] FaultInjector* faults() noexcept { return faults_.get(); }
 
+  /// RDMA registry is per *node* (all rails of a node share the memory
+  /// registration unit), so multirail stripes can target one buffer.
+  /// Handles are numbered per node.
   [[nodiscard]] RdmaHandle register_rdma(unsigned node,
                                          std::span<std::byte> target);
   void unregister_rdma(unsigned node, RdmaHandle h);
@@ -89,7 +97,8 @@ class Fabric {
   friend class Nic;
 
   /// Schedule delivery of `event` from (src,rail) to dst, `bytes` long on
-  /// the wire.  Applies latency + serialization + link occupancy.
+  /// the wire, on dst's lane; `on_delivered` runs on src's lane at the
+  /// same instant.  Applies latency + serialization + link occupancy.
   void transmit(unsigned src, unsigned dst, unsigned rail, std::size_t bytes,
                 RxEvent event, Nic::Completion on_delivered,
                 std::size_t rdma_offset = 0);
@@ -107,7 +116,7 @@ class Fabric {
   std::unique_ptr<FaultInjector> faults_;
 
   std::vector<std::map<RdmaHandle, std::span<std::byte>>> rdma_;  // per node
-  RdmaHandle next_rdma_ = 1;
+  std::vector<RdmaHandle> next_rdma_;                             // per node
 };
 
 }  // namespace pm2::net

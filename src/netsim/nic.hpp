@@ -81,9 +81,9 @@ class Nic {
 
   /// Zero-copy write of `src` into the remote buffer `handle` (starting at
   /// `offset`) on `dst`.  Cheap descriptor setup on the caller; the NIC
-  /// performs the copy.  `on_delivered` (optional) fires in engine context
-  /// when the remote write has fully landed — the local send-completion
-  /// event.  `offset` allows multirail striping into one registered buffer.
+  /// performs the copy.  `on_delivered` (optional) fires in engine context,
+  /// in an event of this node's, when the remote write has fully landed —
+  /// the local send-completion event.  `offset` allows multirail striping into one registered buffer.
   void rdma_put(unsigned dst, RdmaHandle handle,
                 std::span<const std::byte> src, Completion on_delivered,
                 std::size_t offset = 0);

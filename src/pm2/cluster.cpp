@@ -104,6 +104,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     }
     fabric_->install_faults(cfg_.faults, seed);
   }
+  engine_.set_lookahead(fabric_->lookahead());
   if (const char* path = std::getenv("PM2_METRICS"); path != nullptr) {
     metrics_path_ = path;
   }
@@ -154,12 +155,14 @@ Cluster::~Cluster() {
       PM2_WARN("failed to write trace to %s", trace_path_.c_str());
     }
   }
-  // Member teardown below still runs engine events (~Server drains its
-  // LWP fiber), and those dispatches emit core-state spans — detach the
-  // tracer so they cannot reach it after env_tracer_ is freed.
+  // Detach the tracer so nothing in the teardown below can reach it after
+  // env_tracer_ is freed.
   runtime_->set_tracer(nullptr);
   if (fabric_->faults() != nullptr) fabric_->faults()->set_tracer(nullptr);
   lock_profile::disable();
+  // The engine dies with the cluster: nothing steps it again, so the LWPs
+  // need no join, which would run events amid the teardown below.
+  for (auto& server : servers_) server->detach_lwp();
 }
 
 void Cluster::flush_observability() {

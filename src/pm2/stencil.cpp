@@ -56,6 +56,9 @@ StencilResult run_stencil(const StencilConfig& scfg, ClusterConfig ccfg) {
     }
   }
 
+  // Threads on different nodes share the barriers below, which the fabric
+  // does not carry: no node may run ahead of another's next event.
+  cluster.engine().set_lookahead(0);
   marcel::Barrier start_barrier(total);
   marcel::Barrier end_barrier(total);
   SimTime t_start = 0, t_end = 0;

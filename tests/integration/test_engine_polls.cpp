@@ -1,10 +1,11 @@
 // Differential oracle for engine-context PIOMan poll rounds
 // (docs/concurrency.md §8).  Attaching a schedule fuzzer whose options are
 // all zero perturbs nothing (ScheduleFuzz.ZeroedOptionsAreIdentity), but
-// every engine-context shortcut — poll rounds and lock-spin granules —
-// then steps through its fiber.  Each PIOMan scenario runs both ways and
-// must reproduce every completion time and every metric, except the
-// counters of the path taken (sim/events/*, spin_granules, engine_polls).
+// every engine-context shortcut — poll rounds, lock-spin granules and
+// compute chunks run ahead — then steps through its fiber.  Each PIOMan
+// scenario runs both ways and must reproduce every completion time and
+// every metric, except the counters of the path taken (sim/events/*,
+// spin_granules, engine_polls, compute_chunks, chunks_inlined).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +30,9 @@ struct Outcome {
 
 bool path_counter(std::string_view name) {
   return name.starts_with("sim/events/") ||
-         name.ends_with("/spin_granules") || name.ends_with("/engine_polls");
+         name.ends_with("/spin_granules") || name.ends_with("/engine_polls") ||
+         name.ends_with("/compute_chunks") ||
+         name.ends_with("/chunks_inlined");
 }
 
 std::string path_free_metrics(Cluster& cluster) {

@@ -7,8 +7,9 @@
 // spinners that start spinning at t=1000 ns, so their granule boundaries
 // fall on 1000 + 50k.  Acquisition times and CPU times are worked out by
 // hand from that grid.  Granule ends run from the engine's side list, not
-// its heap, so the stepped loop's event count is events_processed() plus
-// side_processed().
+// its heap, and compute chunks that run ahead inline take no event, so the
+// stepped loop's event count is events_processed() plus side_processed()
+// plus the chunks inlined.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -81,8 +82,12 @@ class Rig {
   void run() { eng_.run(); }
 
   /// Events the stepped loop would have dispatched.
-  [[nodiscard]] std::uint64_t steps() const {
-    return eng_.events_processed() + eng_.side_processed();
+  [[nodiscard]] std::uint64_t steps() {
+    std::uint64_t inlined = 0;
+    for (unsigned i = 0; i < node().cpu_count(); ++i) {
+      inlined += node().cpu(i).stats().chunks_inlined;
+    }
+    return eng_.events_processed() + eng_.side_processed() + inlined;
   }
 
   [[nodiscard]] lock_profile::SiteSnapshot site() const {

@@ -1,5 +1,5 @@
 // Discrete-event engine: ordering, determinism, cancellation, run_until,
-// caller-owned timers.
+// caller-owned timers, lanes and run-ahead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "marcel/runtime.hpp"
+#include "netsim/fabric.hpp"
 #include "sim/engine.hpp"
 
 namespace pm2::sim {
@@ -545,6 +547,124 @@ TEST(EngineTimer, MatchesReferenceModel) {
     EXPECT_EQ(ran, model_ran) << "seed " << seed;
     EXPECT_TRUE(model.empty());
   }
+}
+
+// ---------------------------------------------------------------- lanes
+
+TEST(EngineLanes, SameDrawInstantTieOrdersByLane) {
+  // Lane 2's event runs first at t=10, yet the two events it and lane 1's
+  // draw there for t=20 run in lane order.
+  Engine eng;
+  std::vector<int> order;
+  eng.schedule_on(2, 10, [&] {
+    EXPECT_EQ(eng.lane(), 2u);
+    eng.schedule_at(20, [&] { order.push_back(2); });
+  });
+  eng.schedule_on(1, 10, [&] {
+    eng.schedule_at(20, [&] { order.push_back(1); });
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eng.lane(), kHostLane);
+}
+
+TEST(EngineLanes, EarlierDrawWinsATieWhateverTheHostOrder) {
+  // Lane 1 runs ahead to t=20 before lane 2's t=10 event runs, so its draw
+  // for t=30 happens first on the host; lane 2's, drawn at t=10, still
+  // runs first at t=30.
+  Engine eng;
+  eng.set_lookahead(15);
+  std::vector<int> order;
+  eng.schedule_on(1, 0, [&] {
+    ASSERT_TRUE(eng.run_ahead(20));
+    EXPECT_EQ(eng.now(), 20u);
+    eng.schedule_at(30, [&] { order.push_back(1); });
+  });
+  eng.schedule_on(2, 10, [&] {
+    eng.schedule_at(30, [&] { order.push_back(2); });
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(eng.now(), 30u);
+}
+
+// Which of `ahead`, tried in turn from lane 1's event at t=0, run_ahead()
+// allows, with a lookahead of 100 and `setup`'s events pending.
+std::vector<bool> run_ahead_allows(const std::function<void(Engine&)>& setup,
+                                   std::vector<SimTime> ahead,
+                                   SimTime until = kSimTimeNever) {
+  Engine eng;
+  eng.set_lookahead(100);
+  std::vector<bool> allowed;
+  eng.schedule_on(1, 0, [&] {
+    for (const SimTime t : ahead) allowed.push_back(eng.run_ahead(t));
+  });
+  setup(eng);
+  if (until == kSimTimeNever) {
+    eng.run();
+  } else {
+    EXPECT_TRUE(eng.run_until(until));
+  }
+  return allowed;
+}
+
+TEST(EngineLanes, RunAheadStopsShortOfWhatCouldReachTheLane) {
+  using Allowed = std::vector<bool>;
+  // The lane's own next event.
+  EXPECT_EQ(run_ahead_allows(
+                [](Engine& e) { e.schedule_on(1, 110, [] {}); }, {109, 110}),
+            (Allowed{true, false}));
+  // Another node lane's next event plus the lookahead.
+  EXPECT_EQ(run_ahead_allows(
+                [](Engine& e) { e.schedule_on(2, 50, [] {}); }, {149, 150}),
+            (Allowed{true, false}));
+  // A host-lane event may touch any lane.
+  EXPECT_EQ(run_ahead_allows(
+                [](Engine& e) { e.schedule_at(40, [] {}); }, {39, 40}),
+            (Allowed{true, false}));
+  // run_until()'s limit.
+  EXPECT_EQ(run_ahead_allows([](Engine&) {}, {60, 61}, 60),
+            (Allowed{true, false}));
+}
+
+TEST(EngineLanesDeathTest, CrossLaneEventInsideTheLookaheadAborts) {
+  Engine eng;
+  eng.set_lookahead(100);
+  eng.schedule_on(1, 0, [&] {
+    eng.schedule_on(2, 100, [] {});  // exactly the lookahead: allowed
+    EXPECT_DEATH(eng.schedule_on(2, 99, [] {}), "lookahead");
+  });
+  eng.run();
+}
+
+TEST(EngineLanes, OnDeliveredRunsOnTheSendersLaneAtArrival) {
+  Engine eng;
+  marcel::Config mc;
+  mc.nodes = 2;
+  mc.cpus_per_node = 1;
+  marcel::Runtime rt(eng, mc);
+  net::Fabric fabric(eng, 2, 1, net::CostModel{});
+  std::vector<std::byte> target(64);
+  const std::vector<std::byte> payload(64, std::byte{5});
+  const net::RdmaHandle handle = fabric.nic(1).register_buffer(target);
+  SimTime arrived = 0;
+  SimTime delivered = 0;
+  Lane delivered_on = kHostLane;
+  fabric.nic(1).set_rx_notify([&] {
+    EXPECT_EQ(eng.lane(), node_lane(1));
+    arrived = eng.now();
+  });
+  rt.node(0).spawn([&] {
+    fabric.nic(0).rdma_put(1, handle, payload, [&] {
+      delivered_on = eng.lane();
+      delivered = eng.now();
+    });
+  });
+  eng.run();
+  EXPECT_EQ(target, payload);
+  EXPECT_GT(arrived, 0u);
+  EXPECT_EQ(delivered, arrived);
+  EXPECT_EQ(delivered_on, node_lane(0));
 }
 
 }  // namespace

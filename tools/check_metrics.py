@@ -43,7 +43,8 @@ put issued, every opened epoch closed, no wire op was dropped as
 malformed, and nothing is left in flight (ops_pending and fences_parked
 gauges are zero); globally every put/accumulate issued was applied
 exactly once, every get was served and completed, and every fence
-request was acked and received.  With --expect-shards, additionally
+request was acked and received; and some compute chunk ran ahead
+(nodeN/cpuC/chunks_inlined > 0 somewhere).  With --expect-shards, additionally
 asserts the per-shard matching
 conservation laws (src/nmad/matching): on every shard the posted receives
 split exactly into matched and still-pending, arrivals split into matched
@@ -52,6 +53,8 @@ matches into match-on-arrival plus claim-from-buffer; summed over a
 node's shards, the posted receives equal the node's nm/recvs counter; and
 every shard reports its live sequence-cursor count (the flows gauge) as a
 non-negative integer.
+Every document's per-core run-ahead counters must satisfy
+nodeN/cpuC/chunks_inlined <= nodeN/cpuC/compute_chunks.
 Whenever a document carries the nm memory gauges (nodeN/nm/requests/live,
 nodeN/nm/requests/pooled and nodeN/nm/gates), they are checked too: every
 export is taken after the run drained, so no request may still be live
@@ -137,6 +140,7 @@ def check_document(path: str) -> dict:
     if attr["critical_path_us"]["count"] != attr["sends"] + attr["recvs"]:
         fail(f"{path}: critical_path count != sends + recvs")
     check_nm_memory(path, counters, metrics["gauges"])
+    check_run_ahead(path, counters)
     print(f"check_metrics: {path}: ok "
           f"({attr['sends']} sends, {attr['recvs']} recvs, "
           f"crit {attr['critical_path_us']['mean']:.2f} us, "
@@ -172,6 +176,31 @@ def check_nm_memory(path: str, counters: dict, gauges: dict) -> None:
         print(f"check_metrics: {path}: nm memory ok ({checked} nodes drained; "
               f"pool high-water <= {pooled_max} requests, <= {gates_max} "
               f"gates per node)")
+
+
+def inlined_chunks(counters: dict) -> int:
+    return sum(v for name, v in counters.items()
+               if name.startswith("node") and name.endswith("/chunks_inlined"))
+
+
+def check_run_ahead(path: str, counters: dict) -> None:
+    cpus = sorted(name[:-len("/compute_chunks")] for name in counters
+                  if name.startswith("node")
+                  and name.endswith("/compute_chunks"))
+    for cpu in cpus:
+        chunks = counters[f"{cpu}/compute_chunks"]
+        inlined = counters.get(f"{cpu}/chunks_inlined")
+        if not isinstance(inlined, int) or inlined < 0:
+            fail(f"{path}: counter {cpu}/chunks_inlined absent or negative "
+                 f"({inlined!r})")
+        if inlined > chunks:
+            fail(f"{path}: {cpu} ran {inlined} chunks ahead of "
+                 f"{chunks} compute chunks")
+    if cpus:
+        print(f"check_metrics: {path}: run-ahead ok "
+              f"({inlined_chunks(counters)} of "
+              f"{sum(counters[f'{c}/compute_chunks'] for c in cpus)} compute "
+              f"chunks inlined on {len(cpus)} cores)")
 
 
 def check_coll(path: str, doc: dict) -> None:
@@ -437,6 +466,9 @@ def check_rma(path: str, doc: dict) -> None:
     if tot["flush_reqs"] > tot["flushes"]:
         fail(f"{path}: rma: more fence requests ({tot['flush_reqs']}) than "
              f"flush calls ({tot['flushes']})")
+    if inlined_chunks(counters) == 0:
+        fail(f"{path}: no compute chunk ran ahead (nodeN/cpuC/"
+             f"chunks_inlined all zero)")
     print(f"check_metrics: {path}: rma ok ({tot['puts_issued']} puts, "
           f"{tot['accs_issued']} accumulates, {tot['gets_issued']} gets "
           f"conserved across {len(nodes)} nodes; {tot['flush_reqs']} fences "
