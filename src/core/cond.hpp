@@ -16,9 +16,9 @@ class Server;
 class Cond {
  public:
   explicit Cond(Server& server) noexcept : server_(&server) {}
-  /// `server` may be null: such a condition only tracks done(), and
-  /// wait()/wait_for() must not be called on it (nm::Request embeds one
-  /// in app-driven mode, where waits poll instead).
+  /// `server` may be null: such a condition only tracks done() and must
+  /// not be waited on (nm::Request embeds one in app-driven mode, where
+  /// waits poll instead).
   explicit Cond(Server* server) noexcept : server_(server) {}
 
   Cond(const Cond&) = delete;
@@ -30,13 +30,18 @@ class Cond {
   /// context (poll callbacks, tasklets, wire-completion events).
   void signal();
 
-  /// Block the calling marcel thread until signalled.  Flushes posted work
-  /// and participates in polling while waiting (§3.2: a waiting core "boils
-  /// down to a busy waiting until PIOMan wakes up a thread").
-  void wait();
+  /// Block the calling marcel thread until signalled or until virtual time
+  /// reaches `deadline`.  Flushes posted work, then participates in polling
+  /// while waiting (§3.2: a waiting core "boils down to a busy waiting until
+  /// PIOMan wakes up a thread").  The deadline is checked after that first
+  /// flush, then at each loop top.  Returns Status::kOk if signalled,
+  /// Status::kTimedOut otherwise.
+  [[nodiscard]] Status wait_until(SimTime deadline);
 
-  /// Like wait() but gives up after `timeout` of virtual time.
-  /// Returns Status::kOk if signalled, Status::kTimedOut otherwise.
+  /// wait_until() with no deadline.
+  void wait() { (void)wait_until(kSimTimeNever); }
+
+  /// wait_until() `timeout` of virtual time from now.
   [[nodiscard]] Status wait_for(SimDuration timeout);
 
   /// Re-arm for reuse (requests are recycled by the communication library).

@@ -14,14 +14,6 @@
 #include "sim/schedule_fuzz.hpp"
 
 namespace pm2::piom {
-namespace {
-
-/// Consume `d` of CPU time on the calling fiber (tasklet/hook/thread
-/// context).  Re-fetches the current CPU per chunk — a preemption may
-/// migrate a thread fiber mid-charge.
-void burn(marcel::Cpu&, SimDuration d) { marcel::this_thread::compute(d); }
-
-}  // namespace
 
 Server::Server(marcel::Node& node, Config cfg)
     : node_(node),
@@ -162,7 +154,7 @@ bool Server::run_posted(marcel::Cpu& cpu) {
     posted_.pop_front();
     if (item.poster != &cpu) {
       // Request metadata lives in the poster's cache: model the transfer.
-      burn(cpu, cfg_.remote_exec_penalty);
+      marcel::this_thread::compute(cfg_.remote_exec_penalty);
       ++stats_.posted_offloaded;
     }
     item.fn();
@@ -179,40 +171,23 @@ bool Server::poll_source(SourceEntry& e, marcel::Cpu& cpu) {
   return hit;
 }
 
-bool Server::poll_round(marcel::Cpu& cpu) {
-  marcel::EngineScope scope;
-  ++stats_.poll_rounds;
-  bool progress = false;
-  ++poll_round_depth_;
-  // Index loop, size re-read each pass: polls may add sources (picked up
-  // this round) or remove existing ones (tombstoned, skipped) while we
-  // iterate.
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    if (!sources_[i]->alive) continue;
-    if (cfg_.ltask_poll_cost > 0) burn(cpu, cfg_.ltask_poll_cost);
-    // The burn can preempt; another fiber may have removed this source.
-    if (!sources_[i]->alive) continue;
-    progress = poll_source(*sources_[i], cpu) || progress;
-  }
-  end_round();
-  return progress;
-}
-
-void Server::end_round() {
-  if (--poll_round_depth_ == 0 && sources_dirty_) {
-    sources_dirty_ = false;
-    std::erase_if(sources_, [](const auto& e) { return !e->alive; });
-  }
-}
-
 // ------------------------------------------------------------ poll loops
 //
-// Cond::wait and the idle hook share one loop body: open a round, burn
-// ltask_poll_cost and poll for each live source, close the round, and
-// after a round without progress burn poll_gap before the loop top.  The
-// fiber runs it in run_pass(); Poller::boundary() runs the same steps in
-// engine context at the end of each burn, as long as every check the
-// fiber would make finds nothing to do (docs/concurrency.md §8).
+// Cond::wait_until, the idle hook and progress_once share one loop body:
+// open a round, burn ltask_poll_cost and poll for each live source, close
+// the round, and (progress_once ends here) after a round without progress
+// burn poll_gap before the loop top.  The fiber runs it in run_pass();
+// Poller::boundary() runs the same steps in engine context at the end of
+// each burn, as long as every check the fiber would make finds nothing to
+// do (docs/concurrency.md §8).
+
+bool Server::progress_once() {
+  if (!posted_.empty()) flush_posted();
+  Poller p(*this, Poller::Mode::kOnce);
+  open_round(p, marcel::this_thread::cpu());
+  run_pass(p);
+  return p.progress;
+}
 
 void Server::open_round(Poller& p, marcel::Cpu& cpu) {
   cpu.engine_scope_enter();
@@ -225,13 +200,18 @@ void Server::open_round(Poller& p, marcel::Cpu& cpu) {
 }
 
 void Server::close_round(marcel::Cpu& cpu) {
-  end_round();
+  if (--poll_round_depth_ == 0 && sources_dirty_) {
+    sources_dirty_ = false;
+    std::erase_if(sources_, [](const auto& e) { return !e->alive; });
+  }
   cpu.engine_scope_exit();
 }
 
 SimDuration Server::after_round(Poller& p) {
-  if (p.cond != nullptr ? p.cond->done() : !has_work()) {
-    if (p.cond == nullptr) poll_owner_ = nullptr;  // everything completed
+  using Mode = Poller::Mode;
+  if (p.mode == Mode::kOnce ||
+      (p.mode == Mode::kCond ? p.cond->done() : !has_work())) {
+    if (p.mode == Mode::kIdle) poll_owner_ = nullptr;  // everything completed
     p.at = Poller::At::kEnd;
     return 0;
   }
@@ -280,7 +260,9 @@ bool Server::run_pass(Poller& p) {
 
 bool Server::top_quiet(const Poller& p, marcel::Cpu& cpu) const {
   if (!posted_.empty() || cpu.runnable() > 0) return false;
-  if (p.cond != nullptr) return !p.cond->done();
+  if (p.mode == Poller::Mode::kCond) {
+    return !p.cond->done() && cpu.engine().now() < p.deadline;
+  }
   // The service loop calls the idle hook again, which polls on this core.
   return cpu.service_repolls() && has_work() &&
          (poll_owner_ == nullptr || poll_owner_ == &cpu ||
@@ -301,7 +283,7 @@ SimDuration Server::Poller::boundary(marcel::Cpu& c) {
       case At::kTop:
         // A pass that burnt nothing ends here; the fiber takes it on.
         if (opened || !s.top_quiet(*this, c)) return 0;
-        if (cond == nullptr) {
+        if (mode == Mode::kIdle) {
           c.service_round_begin();
           s.poll_owner_ = &c;
         }
@@ -349,7 +331,7 @@ bool Server::idle_hook(marcel::Cpu& cpu) {
     return false;  // someone else is on it; this core can halt
   }
   poll_owner_ = &cpu;
-  Poller p(*this, nullptr);
+  Poller p(*this, Poller::Mode::kIdle);
   const bool posted = run_posted(cpu);
   open_round(p, cpu);
   p.progress = posted;
@@ -430,9 +412,8 @@ void Server::lwp_body() {
       marcel::EngineScope scope;
       marcel::this_thread::compute(cfg_.interrupt_cost);
     }
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    run_posted(cpu);
-    poll_round(cpu);
+    run_posted(marcel::this_thread::cpu());
+    progress_once();
   }
 }
 

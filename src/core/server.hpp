@@ -134,17 +134,15 @@ class Server {
   /// queued until an idle core appears or a waiter flushes it (§2.2).
   void post(WorkFn work);
 
-  /// Execute all queued posted work on the calling fiber's CPU (wait path:
-  /// "the message is sent inside the wait function").
-  void flush_posted();
-
   /// Number of posted items not yet executed.
   [[nodiscard]] std::size_t posted_pending() const noexcept {
     return posted_.size();
   }
 
-  /// Run one round of all sources on `cpu`; true if any made progress.
-  bool poll_round(marcel::Cpu& cpu);
+  /// The non-blocking progress entry (a test, an RPC progress call): run
+  /// the posted work left on the queue, then one round of all sources on
+  /// the calling fiber's CPU.  True if any source made progress.
+  bool progress_once();
 
   /// Driver-side notification: a NIC interrupt fired (blocking mode).
   void on_interrupt();
@@ -176,7 +174,7 @@ class Server {
     std::uint64_t posted_flushed = 0;    // executed inside a wait
     std::uint64_t interrupts = 0;
     std::uint64_t method_switches = 0;
-    std::uint64_t cond_waits = 0;           // piom::Cond::wait[_for] entries
+    std::uint64_t cond_waits = 0;           // piom::Cond::wait_until entries
     std::uint64_t cond_passive_blocks = 0;  // waits that yielded the core
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -207,35 +205,47 @@ class Server {
     bool alive = true;  // tombstoned by remove_source mid-round
   };
 
-  /// One busy-poll loop — piom::Cond::wait's or the idle hook's — from
-  /// the round it opens to the next loop top.  The fiber runs it through
-  /// run_pass(); between its chunks, boundary() runs the same steps in
-  /// engine context while every check finds nothing to do (see
+  /// The node's one busy-poll loop, from the round it opens to the next
+  /// loop top.  It runs in three modes: Cond::wait_until's (until the Cond
+  /// is done; the deadline only stops the engine-context rounds, the
+  /// waiter checks it at the top), the idle hook's (until no work is
+  /// left) and progress_once's (one round, no poll_gap).  The fiber runs
+  /// it through run_pass(); between its chunks, boundary() runs the same
+  /// steps in engine context while every check finds nothing to do (see
   /// docs/concurrency.md §8).
   struct Poller final : marcel::Cpu::PollLoop {
+    enum class Mode : std::uint8_t { kCond, kIdle, kOnce };
     /// Where the loop stands.  Only boundary() and run_pass() move it.
     enum class At : std::uint8_t {
       kNext,    // round open: burn for the next live source from `src`,
                 // or close the round
       kBurned,  // round open, source `src` burnt for: poll it
       kTop,     // back at the loop top (idle hook: return has_work())
-      kEnd,     // the loop ends: the Cond is done, or no work is left
+      kEnd,     // the loop ends: the Cond is done, no work is left, or
+                // progress_once's round closed
     };
-    Poller(Server& s, const Cond* c) noexcept : server(s), cond(c) {}
+    Poller(Server& s, Mode m, const Cond* c = nullptr,
+           SimTime d = kSimTimeNever) noexcept
+        : server(s), mode(m), cond(c), deadline(d) {}
     SimDuration boundary(marcel::Cpu& cpu) override;
 
     Server& server;
-    const Cond* cond;             // Cond::wait's; null for the idle hook
+    Mode mode;
+    const Cond* cond;             // kCond only
+    SimTime deadline;             // kCond only
     marcel::Cpu* cpu = nullptr;   // where the round opened: sources poll it
     At at = At::kTop;
     std::size_t src = 0;
     bool progress = false;
   };
 
+  /// Execute all queued posted work on the calling fiber's CPU (wait path:
+  /// "the message is sent inside the wait function").
+  void flush_posted();
+
   // Poll-loop steps shared by the fiber and the engine-context boundary.
   void open_round(Poller& p, marcel::Cpu& cpu);
   void close_round(marcel::Cpu& cpu);
-  void end_round();
   /// Sets p.at after a closed round; returns the gap to burn first.
   SimDuration after_round(Poller& p);
   [[nodiscard]] std::size_t next_source(std::size_t i) const noexcept;

@@ -408,13 +408,11 @@ void Engine::wait(CollRequest* cr) {
 bool Engine::test(CollRequest* cr) {
   PM2_ASSERT(cr != nullptr);
   if (!cr->done_) {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
     if (piom::Server* server = core_.server(); server != nullptr) {
-      if (server->posted_pending() > 0) server->flush_posted();
-      server->poll_round(cpu);
+      server->progress_once();
     } else {
       drain();
-      core_.progress(cpu);
+      core_.progress(marcel::this_thread::cpu());
     }
   }
   if (cr->done_) {

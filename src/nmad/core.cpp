@@ -343,32 +343,37 @@ Request* Core::irecv(unsigned src, Tag tag, std::span<std::byte> buffer) {
   return req;
 }
 
-void Core::wait(Request* req) {
+Status Core::wait_until(Request* req, SimTime deadline) {
   PM2_ASSERT(req != nullptr && req->state != Request::State::kFree);
-  marcel::EngineScope es;  // time inside wait() is communication time
+  marcel::EngineScope es;  // time inside a wait is communication time
   flight_stamp(*req, Stage::kWaitEnter);
-  if (server_ != nullptr) {
-    req->cond.wait();
-    flight_stamp(*req, Stage::kWoken);
-  } else {
-    // App-driven progression: this thread does all the work.
-    poll_until([req] { return req->done; },
-               [this](marcel::Cpu& cpu) { return progress(cpu); });
-    flight_stamp(*req, Stage::kWoken);
-  }
+  const bool done =
+      server_ != nullptr
+          ? req->cond.wait_until(deadline) == Status::kOk
+          // App-driven progression: this thread does all the work.
+          : poll_until([req] { return req->done; },
+                       [this](marcel::Cpu& cpu) { return progress(cpu); },
+                       deadline);
+  if (!done) return Status::kTimedOut;
+  flight_stamp(*req, Stage::kWoken);
+  return Status::kOk;
+}
+
+std::uint32_t Core::wait(Request* req) {
+  (void)wait_until(req, kSimTimeNever);  // no deadline: always kOk
+  const std::uint32_t len = req->received_len;
   release(req);
+  return len;
 }
 
 bool Core::test(Request* req) {
   PM2_ASSERT(req != nullptr && req->state != Request::State::kFree);
   marcel::EngineScope es;
   if (!req->done) {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
     if (server_ != nullptr) {
-      if (server_->posted_pending() > 0) server_->flush_posted();
-      server_->poll_round(cpu);
+      server_->progress_once();
     } else {
-      progress(cpu);
+      progress(marcel::this_thread::cpu());
     }
   }
   if (req->done) {
@@ -379,25 +384,9 @@ bool Core::test(Request* req) {
 }
 
 Status Core::wait_for(Request* req, SimDuration timeout) {
-  PM2_ASSERT(req != nullptr && req->state != Request::State::kFree);
-  marcel::EngineScope es;
-  flight_stamp(*req, Stage::kWaitEnter);
-  if (server_ != nullptr) {
-    const Status st = req->cond.wait_for(timeout);
-    if (st == Status::kOk) {
-      flight_stamp(*req, Stage::kWoken);
-      release(req);
-    }
-    return st;
-  }
-  if (!poll_until([req] { return req->done; },
-                  [this](marcel::Cpu& cpu) { return progress(cpu); },
-                  fabric_.engine().now() + timeout)) {
-    return Status::kTimedOut;
-  }
-  flight_stamp(*req, Stage::kWoken);
-  release(req);
-  return Status::kOk;
+  const Status st = wait_until(req, fabric_.engine().now() + timeout);
+  if (st == Status::kOk) release(req);
+  return st;
 }
 
 void Core::set_continuation(Request* req, Continuation fn) {

@@ -107,8 +107,8 @@ class Core {
   /// Block until `req` completes, then recycle it (the pointer becomes
   /// invalid).  In PIOMan mode the wait flushes offloaded work first and
   /// participates in polling; in baseline mode it performs the whole
-  /// progression itself.
-  void wait(Request* req);
+  /// progression itself.  Returns the received length (0 for a send).
+  std::uint32_t wait(Request* req);
 
   /// Non-blocking completion check; on true the request is recycled and
   /// the pointer becomes invalid.
@@ -388,6 +388,9 @@ class Core {
 
   Request* acquire();
   void release(Request* req);
+  /// The body of wait() and wait_for(): kOk once `req` completed (it is not
+  /// recycled yet), kTimedOut once virtual time reached `deadline`.
+  Status wait_until(Request* req, SimTime deadline);
   void complete(Request& req);
 
   /// The gate towards `peer`, created on first contact.

@@ -39,19 +39,9 @@ void Unpack::add(std::span<std::byte> segment) {
 void Unpack::recv_and_wait() {
   core_.note_pack(segments_.size());
   std::vector<std::byte> staging(total_);
-  Request* req = core_.irecv(src_, tag_, staging);
-  // Observe the actual length before wait() recycles the request.
-  while (!req->done) {
-    (void)core_.progress(marcel::this_thread::cpu());
-    if (!req->done) {
-      marcel::this_thread::compute(core_.config().app_poll_gap > 0
-                                       ? core_.config().app_poll_gap
-                                       : SimDuration{100});
-    }
-  }
-  PM2_ASSERT_MSG(req->received_len == total_,
+  const std::uint32_t received = core_.wait(core_.irecv(src_, tag_, staging));
+  PM2_ASSERT_MSG(received == total_,
                  "Unpack layout does not match the received message");
-  core_.wait(req);
   // Scatter into the user segments.
   charge_copy(core_.config(), total_);
   std::size_t offset = 0;

@@ -379,8 +379,7 @@ void Engine::reap_handlers() {
 bool Engine::progress(marcel::Cpu& cpu) {
   bool any = drain();
   if (piom::Server* server = core_.server(); server != nullptr) {
-    if (server->posted_pending() > 0) server->flush_posted();
-    if (server->poll_round(cpu)) any = true;
+    if (server->progress_once()) any = true;
   } else {
     if (core_.progress(cpu)) any = true;
   }

@@ -123,13 +123,22 @@ TEST(Cond, SignalFromEngineContext) {
   EXPECT_LE(woke_at, 75 * kUs);
 }
 
-TEST(Cond, WaitForZeroTimeoutPollsOnce) {
+TEST(Cond, WaitForZeroTimeoutFlushesThenTimesOut) {
+  // A zero timeout still runs the posted work (the wait's first flush
+  // precedes its first deadline check), then times out without a round.
   Machine m(1);
   Cond cond(m.server);
   Status st = Status::kOk;
-  m.node().spawn([&] { st = cond.wait_for(0); });
+  bool ran = false;
+  m.node().spawn([&] {
+    m.server.post([&] { ran = true; });
+    st = cond.wait_for(0);
+  });
   m.eng.run();
   EXPECT_EQ(st, Status::kTimedOut);
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(m.server.stats().posted_flushed, 1u);
+  EXPECT_EQ(m.server.stats().poll_rounds, 0u);
 }
 
 

@@ -154,7 +154,7 @@ TEST(PiomPolicies, OffloadOnTickRunsPostedOnBusyCore) {
   m.node().spawn([&] {
     m.server.post([&] { ran_at = m.eng.now(); });
     compute(500 * kUs);  // single busy core: only the tick can run it
-    m.server.flush_posted();
+    m.server.progress_once();
   });
   m.eng.run();
   // Default tick is 100us: the item must run at the first tick, well
@@ -168,7 +168,7 @@ TEST(PiomPolicies, NoTickOffloadByDefault) {
   m.node().spawn([&] {
     m.server.post([&] { ran_at = m.eng.now(); });
     compute(500 * kUs);
-    m.server.flush_posted();
+    m.server.progress_once();
   });
   m.eng.run();
   EXPECT_GE(ran_at, 500 * kUs) << "without the knob, the flush runs it";

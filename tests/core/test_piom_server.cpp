@@ -65,7 +65,7 @@ TEST(PiomServer, PostedWorkRunsInFlushWhenNoIdleCore) {
       ran_at = m.eng.now();
     });
     compute(50 * kUs);
-    m.server.flush_posted();  // the wait path
+    m.server.progress_once();  // a test() flushes, as a wait does
   });
   m.rt.engine().run();
   EXPECT_TRUE(ran);
@@ -80,7 +80,7 @@ TEST(PiomServer, FlushBeatsOffloadRace) {
   int runs = 0;
   m.node().spawn([&] {
     m.server.post([&] { ++runs; });
-    m.server.flush_posted();
+    m.server.progress_once();
     compute(10 * kUs);
   });
   m.rt.engine().run();
@@ -245,7 +245,7 @@ TEST(PiomServer, ManyPostedItemsAllRunOnce) {
       m.server.post([&runs, i] { ++runs[i]; });
     }
     compute(50 * kUs);
-    m.server.flush_posted();
+    m.server.progress_once();
   });
   m.rt.engine().run();
   for (int i = 0; i < kItems; ++i) EXPECT_EQ(runs[i], 1) << "item " << i;
@@ -260,7 +260,7 @@ TEST(PiomServer, PostedOrderIsFifo) {
           m.server.post([&order, i] { order.push_back(i); });
         }
         compute(50 * kUs);
-        m.server.flush_posted();
+        m.server.progress_once();
       },
       marcel::Priority::kNormal, "app", 0);
   m.rt.engine().run();

@@ -1,6 +1,6 @@
 // Regression tests for the engine races flushed out by the schedule
 // explorer.  Each test pins one historical bug:
-//  * ltask callbacks mutating the ltask list mid poll_round (UB: iterator
+//  * ltask callbacks mutating the ltask list mid poll round (UB: iterator
 //    invalidation + destroying a std::function while it executes),
 //  * ~Server leaving the LWP fiber schedulable after teardown (UAF),
 //  * an interrupt landing in the LWP's pre-block window waking a fiber
@@ -74,9 +74,8 @@ TEST(ScheduleRegression, LtaskMayUnregisterItselfMidRound) {
     return false;
   });
   m.node().spawn([&] {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    m.server.poll_round(cpu);
-    m.server.poll_round(cpu);
+    m.server.progress_once();
+    m.server.progress_once();
   });
   m.eng.run();
   EXPECT_EQ(runs1, 2);
@@ -101,9 +100,8 @@ TEST(ScheduleRegression, LtaskMayUnregisterAPeerMidRound) {
     return false;
   });
   m.node().spawn([&] {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    m.server.poll_round(cpu);
-    m.server.poll_round(cpu);
+    m.server.progress_once();
+    m.server.progress_once();
   });
   m.eng.run();
   EXPECT_EQ(peer_runs, 0) << "a peer unregistered earlier in the same round "
@@ -125,9 +123,8 @@ TEST(ScheduleRegression, LtaskMayRegisterANewOneMidRound) {
     return false;
   });
   m.node().spawn([&] {
-    marcel::Cpu& cpu = marcel::this_thread::cpu();
-    m.server.poll_round(cpu);  // push_back may reallocate under the loop
-    m.server.poll_round(cpu);
+    m.server.progress_once();  // push_back may reallocate under the loop
+    m.server.progress_once();
   });
   m.eng.run();
   EXPECT_EQ(new_runs, 2) << "an ltask registered mid-round joins that round";

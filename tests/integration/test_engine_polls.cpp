@@ -26,6 +26,7 @@ struct Outcome {
   std::vector<SimTime> done;  // per-operation completion times
   std::string metrics;        // every metric but the path counters
   std::uint64_t engine_polls = 0;
+  std::uint64_t interrupts = 0;  // LWP wake-ups across the nodes
 };
 
 bool path_counter(std::string_view name) {
@@ -71,20 +72,23 @@ Outcome run(const ClusterConfig& cfg, const Workload& workload,
     cluster.run();
     out.metrics = path_free_metrics(cluster);
     out.engine_polls = cluster.metrics().sum("node", "/engine_polls");
+    out.interrupts = cluster.metrics().sum("node", "/piom/interrupts");
     cluster.runtime().attach_fuzzer(nullptr);
   }
   EXPECT_EQ(fuzzer.decision_count(), 0u) << "the zeroed fuzzer perturbed";
   return out;
 }
 
-void expect_identical(const ClusterConfig& cfg, const Workload& workload) {
-  const Outcome engine = run(cfg, workload, /*stepped=*/false);
+/// Runs `workload` both ways and returns the engine-context outcome.
+Outcome expect_identical(const ClusterConfig& cfg, const Workload& workload) {
+  Outcome engine = run(cfg, workload, /*stepped=*/false);
   const Outcome stepped = run(cfg, workload, /*stepped=*/true);
-  ASSERT_FALSE(engine.done.empty());
+  EXPECT_FALSE(engine.done.empty());
   EXPECT_EQ(engine.done, stepped.done);
   EXPECT_EQ(engine.metrics, stepped.metrics);
   EXPECT_GT(engine.engine_polls, 0u) << "no round ran in engine context";
   EXPECT_EQ(stepped.engine_polls, 0u);
+  return engine;
 }
 
 /// Eager and rendezvous sizes in a fixed mix around the 32 KiB threshold.
@@ -152,13 +156,75 @@ TEST_P(EnginePollsP2p, MixedEagerRendezvousMatchesStepped) {
   cfg.cpus_per_node = GetParam();
   // Four threads per node on three cores: waiters find ready threads on
   // their core and block passively.
-  expect_identical(cfg, p2p(GetParam() == 3 ? 4 : 3, 24));
+  const Outcome engine =
+      expect_identical(cfg, p2p(GetParam() == 3 ? 4 : 3, 24));
+  if (GetParam() == 3) {
+    // No core idles, so rendezvous handshakes fall back to the blocking
+    // LWP, whose poll pass then runs under the oracle too.
+    EXPECT_GT(engine.interrupts, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, EnginePollsP2p, ::testing::Values(3, 4, 8),
                          [](const auto& tp) {
                            return "c" + std::to_string(tp.param);
                          });
+
+TEST(EnginePolls, TestSpinAndTimedWaitsMatchStepped) {
+  // Senders spin on test() (one progress_once() pass per call); receivers
+  // wait_for() in a retry loop, alternating a 1 us timeout, which expires
+  // while the sender computes, with a 1 ms one.  Three pairs on two cores
+  // per node, so timed waits also block passively behind a ready thread.
+  ClusterConfig cfg;
+  cfg.cpus_per_node = 2;
+  constexpr unsigned kPairs = 3;
+  constexpr unsigned kOps = 16;
+  const Outcome engine = expect_identical(
+      cfg, [](Cluster& cluster, std::vector<SimTime>& done) {
+        // Per op: send completion, receive completion, expired wait_fors.
+        done.assign(std::size_t{kPairs} * kOps * 3, 0);
+        for (unsigned p = 0; p < kPairs; ++p) {
+          const int cpu = static_cast<int>(p % 2);
+          cluster.run_on(
+              0,
+              [&cluster, &done, p] {
+                nm::Core& nm = cluster.comm(0);
+                std::vector<std::byte> tx(64 * 1024, std::byte{7});
+                for (unsigned k = 0; k < kOps; ++k) {
+                  marcel::this_thread::compute((2 + (k * 7 + p) % 9) * kUs);
+                  nm::Request* s = nm.isend(1, p, std::span(tx).first(
+                                                      mix_size(k + p)));
+                  while (!nm.test(s)) {
+                  }
+                  done[(std::size_t{p} * kOps + k) * 3] = cluster.now();
+                }
+              },
+              "sender", cpu);
+          cluster.run_on(
+              1,
+              [&cluster, &done, p] {
+                nm::Core& nm = cluster.comm(1);
+                std::vector<std::byte> rx(64 * 1024);
+                for (unsigned k = 0; k < kOps; ++k) {
+                  nm::Request* r =
+                      nm.irecv(0, p, std::span(rx).first(mix_size(k + p)));
+                  const SimDuration timeout = k % 2 == 0 ? kUs : kMs;
+                  SimTime& expired = done[(std::size_t{p} * kOps + k) * 3 + 2];
+                  while (nm.wait_for(r, timeout) == Status::kTimedOut) {
+                    ++expired;
+                  }
+                  done[(std::size_t{p} * kOps + k) * 3 + 1] = cluster.now();
+                }
+              },
+              "receiver", cpu);
+        }
+      });
+  SimTime expired = 0;
+  for (std::size_t i = 2; i < engine.done.size(); i += 3) {
+    expired += engine.done[i];
+  }
+  EXPECT_GT(expired, 0u) << "no wait_for timed out";
+}
 
 TEST(EnginePolls, ShardedMatchingMatchesStepped) {
   ClusterConfig cfg;

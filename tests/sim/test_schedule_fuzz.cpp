@@ -107,7 +107,10 @@ TEST(ScheduleFuzz, TraceMentionsSeedAndSites) {
 // ---------------------------------------------------------------- the soak
 
 // One seeded run of the reference workload: a handful of eager messages
-// plus one rendezvous transfer, with overlap compute on both sides.
+// plus one rendezvous transfer, with overlap compute on both sides.  Every
+// other send completes through a test() spin and every other receive
+// through a 3 us wait_for() retry loop, so the soak covers the one-round
+// progress pass, the timed pre-block window and the deadline event too.
 // Returns the failure diagnostics ("" on success).
 std::string soak_one(std::uint64_t seed) {
   std::string diag;
@@ -131,18 +134,30 @@ std::string soak_one(std::uint64_t seed) {
   }
   bool sender_done = false, receiver_done = false;
   cluster.run_on(0, [&] {
+    nm::Core& nm = cluster.comm(0);
     for (int i = 0; i <= kEager; ++i) {
-      nm::Request* s = cluster.comm(0).isend(1, i, tx[i]);
+      nm::Request* s = nm.isend(1, i, tx[i]);
       marcel::this_thread::compute(9 * kUs);  // overlap
-      cluster.comm(0).wait(s);
+      if (i % 2 == 0) {
+        nm.wait(s);
+      } else {
+        while (!nm.test(s)) {
+        }
+      }
     }
     sender_done = true;
   });
   cluster.run_on(1, [&] {
+    nm::Core& nm = cluster.comm(1);
     for (int i = 0; i <= kEager; ++i) {
-      nm::Request* r = cluster.comm(1).irecv(0, i, rx[i]);
+      nm::Request* r = nm.irecv(0, i, rx[i]);
       marcel::this_thread::compute(13 * kUs);  // overlap
-      cluster.comm(1).wait(r);
+      if (i % 2 == 0) {
+        nm.wait(r);
+      } else {
+        while (nm.wait_for(r, 3 * kUs) == Status::kTimedOut) {
+        }
+      }
     }
     receiver_done = true;
   });
