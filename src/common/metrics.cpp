@@ -1,6 +1,7 @@
 #include "common/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -235,8 +236,12 @@ std::string MetricsRegistry::to_json() const {
       case Kind::kGauge:
       case Kind::kBoundGauge: {
         if (!gauges.empty()) gauges += ",";
+        // Whole numbers (event counts, say) print exactly.
         const double v = numeric(m);
-        std::snprintf(buf, sizeof buf, "%.6g", v);
+        std::snprintf(buf, sizeof buf,
+                      v == std::floor(v) && std::fabs(v) < 0x1p53 ? "%.0f"
+                                                                  : "%.6g",
+                      v);
         gauges += "\"" + json_escape(name) + "\":" + buf;
         break;
       }

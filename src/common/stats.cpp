@@ -79,11 +79,11 @@ double Samples::max() {
   return values_.empty() ? 0.0 : values_.back();
 }
 
-void Log2Histogram::add(std::uint64_t value) noexcept {
+void Log2Histogram::add(std::uint64_t value, std::uint64_t count) noexcept {
   const std::size_t bucket =
       value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value));
-  buckets_[std::min(bucket, kBuckets - 1)]++;
-  ++total_;
+  buckets_[std::min(bucket, kBuckets - 1)] += count;
+  total_ += count;
 }
 
 void Log2Histogram::merge(const Log2Histogram& other) noexcept {

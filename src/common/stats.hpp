@@ -82,7 +82,9 @@ class Log2Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
 
-  void add(std::uint64_t value) noexcept;
+  void add(std::uint64_t value) noexcept { add(value, 1); }
+  /// `count` samples of `value`.
+  void add(std::uint64_t value, std::uint64_t count) noexcept;
 
   /// Sum another histogram into this one (per-CPU → per-node aggregation
   /// in the end-of-run report, without re-recording samples).

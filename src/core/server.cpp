@@ -269,7 +269,7 @@ bool Server::top_quiet(const Poller& p, marcel::Cpu& cpu) const {
           !poll_owner_->idle_polling());
 }
 
-SimDuration Server::Poller::boundary(marcel::Cpu& c) {
+SimDuration Server::Poller::walk(marcel::Cpu& c, bool skipped) {
   Server& s = server;
   const SimDuration quantum = s.node_.config().quantum;
   if (s.cfg_.ltask_poll_cost > quantum || s.cfg_.poll_gap > quantum) {
@@ -282,7 +282,7 @@ SimDuration Server::Poller::boundary(marcel::Cpu& c) {
         return 0;
       case At::kTop:
         // A pass that burnt nothing ends here; the fiber takes it on.
-        if (opened || !s.top_quiet(*this, c)) return 0;
+        if (opened || (!skipped && !s.top_quiet(*this, c))) return 0;
         if (mode == Mode::kIdle) {
           c.service_round_begin();
           s.poll_owner_ = &c;
@@ -298,9 +298,14 @@ SimDuration Server::Poller::boundary(marcel::Cpu& c) {
           if (s.cfg_.ltask_poll_cost > 0) return s.cfg_.ltask_poll_cost;
         } else {
           s.close_round(c);
-          if (const SimDuration gap = s.after_round(*this); gap > 0) {
-            return gap;
+          SimDuration gap = 0;
+          if (skipped) {  // quiet(): the loop goes on
+            at = At::kTop;
+            gap = progress ? 0 : s.cfg_.poll_gap;
+          } else {
+            gap = s.after_round(*this);
           }
+          if (gap > 0) return gap;
         }
         break;
       case At::kBurned: {
@@ -309,7 +314,12 @@ SimDuration Server::Poller::boundary(marcel::Cpu& c) {
         // after_round() sees it.
         SourceEntry& e = *s.sources_[src];
         if (e.alive) {
-          if (e.src.poll_empty == nullptr || !e.src.poll_empty()) return 0;
+          if (skipped) {
+            ++e.skipped_polls;
+          } else {
+            if (e.src.quiet == nullptr || !e.src.quiet()) return 0;
+            if (e.src.poll_empty != nullptr) e.src.poll_empty(1);
+          }
           ++e.stats->polls;
         }
         ++src;
@@ -318,6 +328,52 @@ SimDuration Server::Poller::boundary(marcel::Cpu& c) {
       }
     }
   }
+}
+
+SimDuration Server::Poller::skip(marcel::Cpu& c) {
+  const SimDuration next = walk(c, true);
+  PM2_ASSERT_MSG(next > 0, "a skipped boundary resumed its loop");
+  return next;
+}
+
+void Server::Poller::settle(marcel::Cpu&) {
+  for (const auto& e : server.sources_) {
+    if (e->skipped_polls == 0) continue;
+    if (e->src.poll_empty != nullptr) e->src.poll_empty(e->skipped_polls);
+    e->skipped_polls = 0;
+  }
+}
+
+bool Server::sources_quiet(bool& live) const {
+  live = false;
+  if (!posted_.empty()) return false;
+  for (const auto& e : sources_) {
+    if (!e->alive) continue;
+    if (e->src.quiet == nullptr || !e->src.quiet()) return false;
+    live = true;
+  }
+  return true;
+}
+
+bool Server::Poller::quiet(marcel::Cpu& c) const {
+  // Every boundary from here on finds nothing to do until an event of the
+  // node changes what these checks read: the loop top opens the next
+  // round at once, every live source is quiet, the loop never ends, and
+  // every boundary burns something.  A loop that stops on its own (one
+  // round, a deadline) never parks: other lanes run ahead without looking
+  // at parked keys, so its fiber could resume inside their lookahead.
+  const Server& s = server;
+  const SimDuration quantum = s.node_.config().quantum;
+  bool live = false;
+  if (mode == Mode::kOnce || deadline != kSimTimeNever ||
+      s.cfg_.ltask_poll_cost > quantum || s.cfg_.poll_gap > quantum ||
+      !s.sources_quiet(live) || !s.top_quiet(*this, c)) {
+    return false;
+  }
+  // A round that took the poll over would change what a sibling's parked
+  // idle loop finds at its top.
+  if (mode == Mode::kIdle && s.poll_owner_ != &c) return false;
+  return s.cfg_.poll_gap > 0 || (live && s.cfg_.ltask_poll_cost > 0);
 }
 
 // ------------------------------------------------------------------ hooks

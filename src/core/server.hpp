@@ -3,8 +3,9 @@
 // One Server runs per node.  Communication layers (NewMadeleine's core, its
 // collective engine, the RPC service) register *sources* — poll callbacks
 // that advance their protocol state, with a work probe and an engine-context
-// empty poll — and *post* deferred work items (e.g. the expensive injection of a small
-// message, §2.2).  The server then exploits Marcel's trigger points:
+// empty-poll check and replay — and *post* deferred work items (e.g. the
+// expensive injection of a small message, §2.2).  The server then exploits
+// Marcel's trigger points:
 //
 //  * idle cores run the poll callbacks and the posted work (offload),
 //  * timer ticks re-evaluate the detection method,
@@ -66,11 +67,16 @@ class Server {
     /// Idle cores keep polling while any source reports work.
     std::function<bool()> has_work = nullptr;
 
-    /// Optional, engine context: when poll() would find nothing at this
-    /// instant, do what that empty poll does (its lock traffic, say) and
-    /// return true; otherwise return false and change nothing.  Poll
-    /// rounds skip the fiber switch for a source only through this.
-    std::function<bool()> poll_empty = nullptr;
+    /// Optional, engine context and side-effect free: true when poll()
+    /// would find nothing at this instant (no lock it takes is held, and
+    /// nothing is there to find).  Poll rounds skip the fiber switch for a
+    /// source only through this.
+    std::function<bool()> quiet = nullptr;
+
+    /// Optional, engine context, called only while quiet() holds: do what
+    /// `n` empty polls in a row at this instant do (their lock traffic,
+    /// say).
+    std::function<void(std::uint64_t n)> poll_empty = nullptr;
   };
 
   /// Deferred work item (e.g. submit-to-NIC); may consume CPU time.
@@ -203,6 +209,7 @@ class Server {
     Source src;
     SourceStats* stats;
     bool alive = true;  // tombstoned by remove_source mid-round
+    std::uint64_t skipped_polls = 0;  // empty polls left to settle()
   };
 
   /// The node's one busy-poll loop, from the round it opens to the next
@@ -211,8 +218,9 @@ class Server {
   /// waiter checks it at the top), the idle hook's (until no work is
   /// left) and progress_once's (one round, no poll_gap).  The fiber runs
   /// it through run_pass(); between its chunks, boundary() runs the same
-  /// steps in engine context while every check finds nothing to do (see
-  /// docs/concurrency.md §8).
+  /// steps in engine context while every check finds nothing to do, and
+  /// the chunk ends are parked while quiet() says every boundary will
+  /// (see docs/concurrency.md §8).
   struct Poller final : marcel::Cpu::PollLoop {
     enum class Mode : std::uint8_t { kCond, kIdle, kOnce };
     /// Where the loop stands.  Only boundary() and run_pass() move it.
@@ -227,7 +235,13 @@ class Server {
     Poller(Server& s, Mode m, const Cond* c = nullptr,
            SimTime d = kSimTimeNever) noexcept
         : server(s), mode(m), cond(c), deadline(d) {}
-    SimDuration boundary(marcel::Cpu& cpu) override;
+    SimDuration boundary(marcel::Cpu& c) override { return walk(c, false); }
+    bool quiet(marcel::Cpu& c) const override;
+    SimDuration skip(marcel::Cpu& c) override;
+    void settle(marcel::Cpu& c) override;
+    /// boundary(); with `skipped`, trusting quiet() and leaving each
+    /// source's empty polls to settle().
+    SimDuration walk(marcel::Cpu& c, bool skipped);
 
     Server& server;
     Mode mode;
@@ -249,6 +263,10 @@ class Server {
   /// Sets p.at after a closed round; returns the gap to burn first.
   SimDuration after_round(Poller& p);
   [[nodiscard]] std::size_t next_source(std::size_t i) const noexcept;
+  /// Nothing is posted and every live source is quiet; `live` tells
+  /// whether any source is live.
+  [[nodiscard]] bool sources_quiet(bool& live) const;
+  /// The loop top would open a round on `cpu` at once.
   [[nodiscard]] bool top_quiet(const Poller& p, marcel::Cpu& cpu) const;
   /// Fiber side: runs `p` from its position to the next loop top (true)
   /// or the loop's end (false).

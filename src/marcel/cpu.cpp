@@ -23,12 +23,51 @@ void call(void* cpu) {
   (static_cast<Cpu*>(cpu)->*M)();
 }
 
+/// sim::Timer parking callback returning member `M` of the Cpu passed as
+/// context.
+template <typename R, R (Cpu::*M)()>
+R ask(void* cpu) {
+  return (static_cast<Cpu*>(cpu)->*M)();
+}
+
 }  // namespace
+
+// The parking callbacks of the poll-chunk and granule timers.
+const sim::Timer::Parking Cpu::kPollParking{
+    .keep = &ask<bool, &Cpu::poll_keeps>,
+    .skip = &ask<SimDuration, &Cpu::skip_poll_chunk>,
+    .settle = &call<&Cpu::settle_poll_chunks>};
+const sim::Timer::Parking Cpu::kGranuleParking{
+    .keep = &ask<bool, &Cpu::granule_keeps>,
+    .skip = &ask<SimDuration, &Cpu::skip_granule>,
+    .skip_more = [](void* cpu, std::uint64_t n) {
+      static_cast<Cpu*>(cpu)->skip_granules(n);
+    }};
+
+template <void (Cpu::*M)(), CpuTimer T>
+void Cpu::on_timer(void* cpu) {
+  auto* self = static_cast<Cpu*>(cpu);
+  ++self->stats_.heap_events[static_cast<std::size_t>(T)];
+  (self->*M)();
+}
 
 namespace detail {
 Cpu* current_cpu() noexcept { return t_cpu; }
 Thread* current_thread() noexcept { return t_thread; }
 }  // namespace detail
+
+const char* cpu_timer_name(CpuTimer t) noexcept {
+  switch (t) {
+    case CpuTimer::kDispatch: return "dispatch";
+    case CpuTimer::kResume: return "resume";
+    case CpuTimer::kSwitch: return "switch";
+    case CpuTimer::kPoll: return "poll";
+    case CpuTimer::kGranule: return "granule";
+    case CpuTimer::kTick: return "tick";
+    case CpuTimer::kDeadline: return "deadline";
+  }
+  return "?";
+}
 
 const char* core_state_name(CoreState s) noexcept {
   switch (s) {
@@ -46,19 +85,19 @@ Cpu::Cpu(Node& node, unsigned index, const Config& cfg, sim::Engine& engine)
       index_(index),
       cfg_(cfg),
       engine_(engine),
-      dispatch_timer_(&call<&Cpu::dispatch>, this, sim::TimerQueue::kHeap,
+      dispatch_timer_(&on_timer<&Cpu::dispatch, CpuTimer::kDispatch>, this,
                       sim::node_lane(node.index())),
-      resume_timer_(&call<&Cpu::run_occupant>, this, sim::TimerQueue::kHeap,
+      resume_timer_(&on_timer<&Cpu::run_occupant, CpuTimer::kResume>, this,
                     sim::node_lane(node.index())),
-      switch_timer_(&call<&Cpu::run_occupant>, this, sim::TimerQueue::kHeap,
+      switch_timer_(&on_timer<&Cpu::run_occupant, CpuTimer::kSwitch>, this,
                     sim::node_lane(node.index())),
       granule_timer_(&call<&Cpu::end_spin_granule>, this,
-                     sim::TimerQueue::kSide, sim::node_lane(node.index())),
-      poll_timer_(&call<&Cpu::end_poll_chunk>, this, sim::TimerQueue::kHeap,
+                     sim::node_lane(node.index()), &kGranuleParking),
+      poll_timer_(&call<&Cpu::end_poll_chunk>, this,
+                  sim::node_lane(node.index()), &kPollParking),
+      tick_timer_(&on_timer<&Cpu::on_tick, CpuTimer::kTick>, this,
                   sim::node_lane(node.index())),
-      tick_timer_(&call<&Cpu::on_tick>, this, sim::TimerQueue::kHeap,
-                  sim::node_lane(node.index())),
-      deadline_timer_(&call<&Cpu::spin_wake>, this, sim::TimerQueue::kHeap,
+      deadline_timer_(&on_timer<&Cpu::spin_wake, CpuTimer::kDeadline>, this,
                       sim::node_lane(node.index())) {}
 
 Cpu::~Cpu() {
@@ -252,11 +291,74 @@ void Cpu::run_occupant() {
   resume_occupant();
 }
 
+void Cpu::count_chain_end(const sim::Timer& t, CpuTimer kind) noexcept {
+  if (t.parked()) {
+    ++stats_.chunks_parked;
+    if (kind == CpuTimer::kGranule) ++stats_.granules_parked;
+  } else {
+    ++stats_.heap_events[static_cast<std::size_t>(kind)];
+  }
+}
+
+void Cpu::arm_chunk_end(sim::Timer& t, bool keep) {
+  const SimTime at = chunk_start_ + chunk_len_;
+  if (keep) {
+    engine_.park(t, at);
+  } else {
+    engine_.arm(t, at);
+  }
+}
+
+bool Cpu::granule_keeps() noexcept {
+  // end_spin_granule() would only charge the granule and re-arm.
+  return *granule_word_ != nullptr && !preemption_due() &&
+         node_.spinners_ == 0 && engine_.fuzzer() == nullptr;
+}
+
+bool Cpu::poll_keeps() {
+  // end_poll_chunk() would only charge the chunk and run a boundary that
+  // finds nothing to do.
+  return !preemption_due() && node_.spinners_ == 0 &&
+         engine_.fuzzer() == nullptr && !lockdep::enabled() &&
+         poll_loop_->quiet(*this);
+}
+
+SimDuration Cpu::skip_granule() noexcept {
+  ++stats_.chunks_parked;
+  ++stats_.granules_parked;
+  charge(chunk_len_);
+  ++stats_.spin_granules;
+  chunk_start_ = engine_.now();
+  chunk_len_ = granule_step_;
+  return chunk_len_;
+}
+
+void Cpu::skip_granules(std::uint64_t n) noexcept {
+  stats_.chunks_parked += n;
+  stats_.granules_parked += n;
+  charge(n * granule_step_);
+  stats_.spin_granules += n;
+  chunk_start_ = engine_.now();
+}
+
+SimDuration Cpu::skip_poll_chunk() {
+  const SimDuration next = poll_loop_->skip(*this);
+  ++stats_.chunks_parked;
+  charge(chunk_len_);
+  chunk_start_ = engine_.now();
+  chunk_len_ = next;
+  return next;
+}
+
+void Cpu::settle_poll_chunks() { poll_loop_->settle(*this); }
+
 void Cpu::end_spin_granule() {
   // The end of a spin_chunk() granule.  The stepped loop would resume the
   // fiber here, charge the granule, find the word still set and schedule
   // the next granule from compute_chunk(); doing those same steps in
   // engine context draws every key at the same time and schedule point.
+  count_chain_end(granule_timer_, CpuTimer::kGranule);
+  const bool parked = granule_timer_.parked();
   if (node_.spinners_ != 0) node_.wake_spinners(this);
   if (*granule_word_ != nullptr && !preemption_due() &&
       engine_.fuzzer() == nullptr) {
@@ -264,9 +366,12 @@ void Cpu::end_spin_granule() {
     ++stats_.spin_granules;
     chunk_start_ = engine_.now();
     chunk_len_ = granule_step_;
-    engine_.arm_after(granule_timer_, chunk_len_);
+    // A parked run changed nothing its chain reads: it stays parked.
+    arm_chunk_end(granule_timer_, parked || granule_keeps());
     return;
   }
+  PM2_ASSERT_MSG(!parked || engine_.fuzzer() != nullptr,
+                 "a parked lock spin found the lock free");
   resume_occupant();
 }
 
@@ -275,6 +380,8 @@ void Cpu::end_poll_chunk() {
   // fiber here, charge the chunk, run its loop up to the next chunk and
   // arm it from compute_chunk(); when the loop's boundary can do the same
   // in engine context, every key is drawn at the same time and point.
+  count_chain_end(poll_timer_, CpuTimer::kPoll);
+  const bool parked = poll_timer_.parked();
   if (node_.spinners_ != 0) node_.wake_spinners(this);
   if (!preemption_due() && engine_.fuzzer() == nullptr &&
       !lockdep::enabled()) {
@@ -292,10 +399,13 @@ void Cpu::end_poll_chunk() {
     if (next > 0) {
       PM2_ASSERT(next <= cfg_.quantum);
       chunk_len_ = next;
-      engine_.arm_after(poll_timer_, next);
+      // A parked run changed nothing its chain reads: it stays parked.
+      arm_chunk_end(poll_timer_, parked || poll_keeps());
       return;
     }
   }
+  PM2_ASSERT_MSG(!parked || engine_.fuzzer() != nullptr || lockdep::enabled(),
+                 "a parked poll chain found work");
   resume_occupant();
 }
 
@@ -490,7 +600,7 @@ SimDuration Cpu::spin_chunk(SimDuration d, SimDuration step,
   chunk_len_ = d;
   granule_word_ = word;
   granule_step_ = step;
-  engine_.arm_after(granule_timer_, d);
+  arm_chunk_end(granule_timer_, granule_keeps());
   suspend_current(SuspendReason::kCompute);
   granule_word_ = nullptr;
   // Resumed at the end of the last granule armed, or inside it by a hard
@@ -517,7 +627,7 @@ SimDuration Cpu::poll_chunk(SimDuration d, PollLoop& loop) {
   chunk_start_ = engine_.now();
   chunk_len_ = d;
   poll_loop_ = &loop;
-  engine_.arm_after(poll_timer_, d);
+  arm_chunk_end(poll_timer_, poll_keeps());
   suspend_current(SuspendReason::kCompute);
   poll_loop_ = nullptr;
   // Resumed at the end of the last chunk armed (fully charged when the
@@ -719,6 +829,7 @@ void Cpu::bind_metrics(MetricsRegistry& registry,
   registry.bind_counter(p + "/engine_polls", &stats_.engine_polls);
   registry.bind_counter(p + "/compute_chunks", &stats_.compute_chunks);
   registry.bind_counter(p + "/chunks_inlined", &stats_.chunks_inlined);
+  registry.bind_counter(p + "/chunks_parked", &stats_.chunks_parked);
   for (std::size_t i = 0; i < kNumCoreStates; ++i) {
     registry.bind_counter(
         p + "/state/" + core_state_name(static_cast<CoreState>(i)) + "_ns",

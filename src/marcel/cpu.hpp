@@ -53,6 +53,21 @@ inline constexpr std::size_t kNumCoreStates = 5;
 /// Printable name of a core state ("idle", "app", ...).
 [[nodiscard]] const char* core_state_name(CoreState s) noexcept;
 
+/// The core's timers, which name the origin of its heap events.
+enum class CpuTimer : std::uint8_t {
+  kDispatch,
+  kResume,
+  kSwitch,
+  kPoll,
+  kGranule,
+  kTick,
+  kDeadline,
+};
+inline constexpr std::size_t kNumTimers = 7;
+
+/// Printable name of a core timer ("dispatch", "resume", ...).
+[[nodiscard]] const char* cpu_timer_name(CpuTimer t) noexcept;
+
 class Cpu {
  public:
   /// The engine-context half of a busy-poll loop that burns its chunks
@@ -65,6 +80,19 @@ class Cpu {
     /// or return 0 to resume the fiber, leaving untouched what it must
     /// still do itself.
     virtual SimDuration boundary(Cpu& cpu) = 0;
+
+    /// Engine context, side-effect free: true when every boundary() from
+    /// the armed chunk's end on would return a next chunk, finding
+    /// nothing to do and touching no other core's loop, until an event of
+    /// the node changes some state it reads.  The chunk ends are then
+    /// parked (sim::Engine::park()).
+    [[nodiscard]] virtual bool quiet(Cpu& cpu) const = 0;
+
+    /// Engine context, while quiet() holds: boundary(), leaving the empty
+    /// polls' side effects to settle().
+    virtual SimDuration skip(Cpu& cpu) = 0;
+    /// Engine context: do what the skipped boundaries left for later.
+    virtual void settle(Cpu& cpu) = 0;
 
    protected:
     ~PollLoop() = default;
@@ -141,9 +169,10 @@ class Cpu {
   /// `d` is what is left of the current granule.  The virtual-time outcome
   /// is that of looping `while (*word) compute(step)`: each granule end
   /// draws its (time, seq) key where the stepped loop's resume event would,
-  /// but runs from the engine's side list, not its heap, and the fiber
-  /// switches are skipped.  While a granule ends with `*word` still set and
-  /// no preemption due, it charges the granule and re-arms the next one;
+  /// and the fiber switches are skipped; while the word stays set the key
+  /// is parked (sim::Engine::park()), so it costs no heap push or pop.
+  /// While a granule ends with `*word` still set and no preemption due, it
+  /// charges the granule and re-arms the next one;
   /// the fiber resumes (and re-checks the word) once the word clears, a
   /// preemption is due, or a hard resched cuts the granule.  Falls back to
   /// compute_chunk() under the schedule fuzzer or when `step` exceeds the
@@ -156,7 +185,8 @@ class Cpu {
   /// the stepped loop's resume event would, but runs `loop.boundary()` in
   /// engine context instead of resuming the fiber; while that returns a
   /// next chunk, the chunk is charged and the next one armed without a
-  /// fiber switch.  The fiber resumes when the boundary declines, a
+  /// fiber switch, and parked while `loop.quiet()` holds.  The fiber
+  /// resumes when the boundary declines, a
   /// preemption is due, or a hard resched cuts the chunk (then the rest of
   /// the cut chunk is returned, as compute_chunk() does).  Falls back to
   /// compute_chunk() under the schedule fuzzer or lockdep, or when `d`
@@ -241,6 +271,14 @@ class Cpu {
     std::uint64_t compute_chunks = 0;  // compute_chunk() chunks taken
     std::uint64_t chunks_inlined = 0;  // of which ran ahead inline, with
                                        // no event or fiber switch
+    std::uint64_t chunks_parked = 0;   // poll-chunk and granule ends run
+                                       // from the engine's parked list
+    std::uint64_t granules_parked = 0;  // of which granule ends
+                                        // (sim/events/parked/granule,
+                                        // summed; not bound per core)
+    // Heap events run per timer (sim/events/origin/<name>, summed over
+    // the cluster; not bound per core).
+    std::uint64_t heap_events[kNumTimers] = {};
 
     void merge(const Stats& o) noexcept {
       thread_busy_ns += o.thread_busy_ns;
@@ -255,6 +293,11 @@ class Cpu {
       engine_polls += o.engine_polls;
       compute_chunks += o.compute_chunks;
       chunks_inlined += o.chunks_inlined;
+      chunks_parked += o.chunks_parked;
+      granules_parked += o.granules_parked;
+      for (std::size_t i = 0; i < kNumTimers; ++i) {
+        heap_events[i] += o.heap_events[i];
+      }
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -267,6 +310,26 @@ class Cpu {
   friend class Node;
 
   enum class Occupant : std::uint8_t { kNone, kThread, kService };
+
+  // sim::Timer entry point: counts a heap run of timer `T`, then runs
+  // member `M`.
+  template <void (Cpu::*M)(), CpuTimer T>
+  static void on_timer(void* cpu);
+  // Counts the run of a chain timer, parked or from the heap.
+  void count_chain_end(const sim::Timer& t, CpuTimer kind) noexcept;
+  // Arms or, when `keep`, parks `t` for the end of the current chunk.
+  void arm_chunk_end(sim::Timer& t, bool keep);
+  // Parking callbacks of the poll-chunk and granule timers: whether the
+  // armed end may stay parked, and a parked end run cheaply.
+  [[nodiscard]] bool poll_keeps();
+  [[nodiscard]] bool granule_keeps() noexcept;
+  [[nodiscard]] SimDuration skip_poll_chunk();
+  void settle_poll_chunks();
+  [[nodiscard]] SimDuration skip_granule() noexcept;
+  void skip_granules(std::uint64_t n) noexcept;
+
+  static const sim::Timer::Parking kPollParking;
+  static const sim::Timer::Parking kGranuleParking;
 
   // Engine-context internals.
   void dispatch();
@@ -321,11 +384,11 @@ class Cpu {
 
   // The core's seven events, each a caller-owned engine timer.  At most
   // one of resume/switch/granule/poll is armed: the occupant's next
-  // resumption.
+  // resumption.  Granule and poll-chunk ends may be parked.
   sim::Timer dispatch_timer_;  // dispatch() after a kick
   sim::Timer resume_timer_;    // compute-chunk end, spin_wait() wake
   sim::Timer switch_timer_;    // context-switch end, hard-cut resume
-  sim::Timer granule_timer_;   // spin_chunk() granule end (side list)
+  sim::Timer granule_timer_;   // spin_chunk() granule end
   sim::Timer poll_timer_;      // poll_chunk() chunk end
   sim::Timer tick_timer_;      // timer tick
   sim::Timer deadline_timer_;  // spin_wait() deadline wake

@@ -210,6 +210,14 @@ void note_released(const void* lock) {
   site->st.hold_us.add((now - site->hold_start) / 1000);
 }
 
+void note_idle(const void* lock, const char* lock_class, std::uint64_t n) {
+  if (!enabled() || n == 0) return;
+  Site& site = *site_of(lock, lock_class);
+  PM2_ASSERT(!site.held);
+  site.st.acq += n;
+  site.st.hold_us.add(0, n);
+}
+
 std::vector<SiteSnapshot> snapshot() {
   State& s = state();
   std::lock_guard<std::mutex> g(s.mu);

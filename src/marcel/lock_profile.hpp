@@ -54,6 +54,9 @@ void unregister_site(const void* lock);
 void note_contended(const void* lock, const char* lock_class);
 void note_acquired(const void* lock, const char* lock_class, bool contended);
 void note_released(const void* lock);
+/// `n` uncontended acquisitions of a free lock, each released at the same
+/// instant: what n note_acquired() / note_released() pairs record.
+void note_idle(const void* lock, const char* lock_class, std::uint64_t n);
 
 struct SiteSnapshot {
   std::string name;

@@ -218,7 +218,7 @@ void Engine::launch(CollRequest* cr) {
       source_id_ = server->add_source({
           .name = "coll",
           .poll = [this](marcel::Cpu&) { return drain(); },
-          .poll_empty = [this] { return ready_.empty(); },
+          .quiet = [this] { return ready_.empty(); },
       });
     }
     server->arm();

@@ -76,7 +76,8 @@ Core::Core(marcel::Node& node, net::Fabric& fabric, piom::Server* server,
         .name = "nm",
         .poll = [this](marcel::Cpu& cpu) { return progress(cpu); },
         .has_work = [this] { return rx_pending(); },
-        .poll_empty = [this] { return progress_empty(); },
+        .quiet = [this] { return progress_quiet(); },
+        .poll_empty = [this](std::uint64_t n) { progress_empty(n); },
     });
     for (unsigned r = 0; r < fabric_.rails(); ++r) {
       fabric_.nic(node_id(), r).set_rx_notify([this] {
@@ -491,24 +492,23 @@ bool Core::rx_pending() const {
   return false;
 }
 
-bool Core::progress_empty() {
-  // progress() with every rail empty and the engine lock free: take and
-  // drop the lock, find nothing.
-  if (rx_pending() || (elock_ != nullptr && !elock_->free())) return false;
-  if (elock_ != nullptr) {
-    elock_->note_engine_acquire();
-    elock_->note_engine_release();
-  }
-  return true;
+bool Core::progress_quiet() const {
+  return !rx_pending() && (elock_ == nullptr || elock_->free());
 }
 
-bool Core::pop_rpc_pending_empty() {
-  if (elock_ != nullptr && !elock_->free()) return false;
-  if (!match_.rpc_pending_idle()) return false;
-  if (elock_ != nullptr) elock_->note_engine_acquire();
-  match_.note_empty_rpc_pop();
-  if (elock_ != nullptr) elock_->note_engine_release();
-  return true;
+void Core::progress_empty(std::uint64_t n) {
+  // progress() with every rail empty and the engine lock free: take and
+  // drop the lock, find nothing.
+  if (elock_ != nullptr) elock_->note_idle(n);
+}
+
+bool Core::pop_rpc_pending_quiet() const {
+  return (elock_ == nullptr || elock_->free()) && match_.rpc_pending_idle();
+}
+
+void Core::pop_rpc_pending_empty(std::uint64_t n) {
+  if (elock_ != nullptr) elock_->note_idle(n);
+  match_.note_empty_rpc_pops(n);
 }
 
 // ------------------------------------------------------------ submission

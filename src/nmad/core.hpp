@@ -162,11 +162,12 @@ class Core {
   /// is queued.
   [[nodiscard]] std::optional<std::pair<unsigned, Tag>> pop_rpc_pending();
 
-  /// Engine context: when pop_rpc_pending() would return nullopt without
-  /// spinning on a lock, report its lock traffic and return true;
-  /// otherwise return false and report nothing.  The RPC engine's empty
-  /// poll (piom::Server::Source::poll_empty).
-  [[nodiscard]] bool pop_rpc_pending_empty();
+  /// Engine context, side-effect free: pop_rpc_pending() would return
+  /// nullopt without spinning on a lock (piom::Server::Source::quiet).
+  [[nodiscard]] bool pop_rpc_pending_quiet() const;
+  /// Engine context, after pop_rpc_pending_quiet(): report the lock
+  /// traffic of `n` such empty pops (piom::Server::Source::poll_empty).
+  void pop_rpc_pending_empty(std::uint64_t n);
 
   /// Attach a continuation to `req` instead of wait()ing on it: `fn` runs
   /// exactly once when the request completes — possibly immediately, if it
@@ -408,8 +409,12 @@ class Core {
 
   /// True when a packet or RDMA completion waits on any rail.
   [[nodiscard]] bool rx_pending() const;
-  /// Engine context: progress()'s empty poll (Source::poll_empty).
-  bool progress_empty();
+  /// Engine context, side-effect free: progress() would find nothing
+  /// (Source::quiet).
+  [[nodiscard]] bool progress_quiet() const;
+  /// Engine context, after progress_quiet(): `n` of progress()'s empty
+  /// polls (Source::poll_empty).
+  void progress_empty(std::uint64_t n);
 
   void handle_event(net::RxEvent ev);
   void deliver_packet(unsigned src, std::span<const std::byte> pkt);

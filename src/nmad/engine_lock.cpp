@@ -62,14 +62,11 @@ void EngineLock::unlock() {
   cpu->preempt_enable();
 }
 
-void EngineLock::note_engine_acquire() const noexcept {
-  PM2_ASSERT(owner_ == nullptr && sim::Fiber::current() == nullptr);
-  report_acquired(this, /*contended=*/false);
-}
-
-void EngineLock::note_engine_release() const noexcept {
-  PM2_ASSERT(owner_ == nullptr && sim::Fiber::current() == nullptr);
-  report_released(this);
+// A parked poll round may run nested in another fiber's run-ahead
+// (sim::Engine::run_ahead()), so the calling fiber is not checked here.
+void EngineLock::note_idle(std::uint64_t n) const noexcept {
+  PM2_ASSERT(owner_ == nullptr && !lockdep::enabled());
+  lock_profile::note_idle(this, kClass, n);
 }
 
 bool EngineLock::held_by_caller() const noexcept {

@@ -11,7 +11,7 @@
 //  - a contended acquire spins in `spin` granules of virtual CPU time
 //    until the holder releases, making contention visible in sim-time
 //    (granules that find the lock still held cost no fiber switch and no
-//    heap event: they run from the engine's side list of timers, see
+//    heap event: they run from the engine's parked list, see
 //    marcel::this_thread::spin_granule);
 //  - while held, preemption of the holder is disabled on its core — a
 //    holder parked on a runqueue behind a fiber spinning on this very
@@ -51,12 +51,11 @@ class EngineLock {
   /// True when nobody holds the lock: lock() would not spin.
   [[nodiscard]] bool free() const noexcept { return owner_ == nullptr; }
 
-  /// Engine context, lock free: report to the lock observers the
-  /// uncontended lock() / unlock() that a fiber at this instant would
-  /// make (its preempt_disable()/enable() pair nets to nothing).  An
-  /// empty poll replays its lock traffic through these.
-  void note_engine_acquire() const noexcept;
-  void note_engine_release() const noexcept;
+  /// Engine context, lock free and lockdep off: report to the lock
+  /// profiler the `n` uncontended lock() / unlock() pairs that a fiber at
+  /// this instant would make (their preempt_disable()/enable() pairs net
+  /// to nothing).  Empty polls replay their lock traffic through this.
+  void note_idle(std::uint64_t n) const noexcept;
 
  private:
   const void* owner_ = nullptr;  // sim::Fiber token

@@ -67,13 +67,9 @@ bool Store::rpc_pending_idle() const noexcept {
   return true;
 }
 
-void Store::note_empty_rpc_pop() const noexcept {
-  const unsigned n = shard_count();
-  for (unsigned i = 0; i < n; ++i) {
-    if (const EngineLock* lock = shards_[(rpc_cursor_ + i) % n]->lock.get()) {
-      lock->note_engine_acquire();
-      lock->note_engine_release();
-    }
+void Store::note_empty_rpc_pops(std::uint64_t n) const noexcept {
+  for (const auto& sh : shards_) {
+    if (const EngineLock* lock = sh->lock.get()) lock->note_idle(n);
   }
 }
 

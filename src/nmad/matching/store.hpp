@@ -195,9 +195,9 @@ class Store {
   /// True when pop_rpc_pending() would find every shard empty without
   /// spinning on a shard lock.
   [[nodiscard]] bool rpc_pending_idle() const noexcept;
-  /// Engine context, rpc_pending_idle(): report that empty pop's lock
-  /// traffic (each shard's guard, in its visiting order).
-  void note_empty_rpc_pop() const noexcept;
+  /// Engine context, rpc_pending_idle(): report the lock traffic of `n`
+  /// such empty pops (each takes every shard's guard once).
+  void note_empty_rpc_pops(std::uint64_t n) const noexcept;
 
   /// Bind per-shard counters, the pending gauges and the live sequence
   /// cursor count ("flows") under "<prefix>/shard<s>/..." (prefix is the

@@ -292,13 +292,31 @@ void Cluster::bind_all_metrics() {
   if (fabric_->faults() != nullptr) {
     fabric_->faults()->bind_metrics(metrics_, "fabric/faults");
   }
-  // Events dispatched from the heap and lock-spin granules run from the
-  // engine's side list: together, the stepped event count.
+  // Events dispatched from the heap, the stepped event count (heap events,
+  // parked runs and run-aheads), and the heap events by origin: each core
+  // timer's runs summed over the cluster, the rest scheduled callbacks.
   metrics_.bind_gauge("sim/events/dispatched", [this] {
     return static_cast<double>(engine_.events_processed());
   });
-  metrics_.bind_gauge("sim/events/spin_granules", [this] {
-    return static_cast<double>(engine_.side_processed());
+  metrics_.bind_gauge("sim/events/stepped", [this] {
+    return static_cast<double>(engine_.steps());
+  });
+  for (std::size_t i = 0; i < marcel::kNumTimers; ++i) {
+    const std::string name = std::string("sim/events/origin/") +
+                             marcel::cpu_timer_name(marcel::CpuTimer(i));
+    metrics_.bind_gauge(name, [this, i] {
+      return static_cast<double>(runtime_->total_stats().heap_events[i]);
+    });
+  }
+  metrics_.bind_gauge("sim/events/origin/callback", [this] {
+    std::uint64_t timers = 0;
+    for (const std::uint64_t n : runtime_->total_stats().heap_events) {
+      timers += n;
+    }
+    return static_cast<double>(engine_.events_processed() - timers);
+  });
+  metrics_.bind_gauge("sim/events/parked/granule", [this] {
+    return static_cast<double>(runtime_->total_stats().granules_parked);
   });
   // Host-thread fiber stacks (live + recycled), read on the thread that
   // exports the registry — the one running this cluster.

@@ -34,13 +34,14 @@ Engine::Engine(nm::Core& core) : core_(core) {
         .poll = [this](marcel::Cpu&) { return drain(); },
         .has_work =
             [this] { return core_.rpc_unexpected() > 0 || !inbox_.empty(); },
-        .poll_empty =
+        .quiet =
             [this] {
-              if (!inbox_.empty() || !core_.pop_rpc_pending_empty()) {
-                return false;
-              }
+              return inbox_.empty() && core_.pop_rpc_pending_quiet();
+            },
+        .poll_empty =
+            [this](std::uint64_t n) {
+              core_.pop_rpc_pending_empty(n);
               reap_handlers();
-              return true;
             },
     });
   }

@@ -191,12 +191,11 @@ WaitFigures wait_scenario(
             return true;
           },
       .has_work = [&] { return packet; },
+      .quiet = [&] { return !packet; },
       .poll_empty =
-          [&] {
-            if (packet) return false;
-            ++f.polls;
-            ++f.empty_polls;
-            return true;
+          [&](std::uint64_t n) {
+            f.polls += static_cast<int>(n);
+            f.empty_polls += static_cast<int>(n);
           },
   });
   if (setup) setup(m, cond);

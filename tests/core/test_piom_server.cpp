@@ -292,12 +292,8 @@ TEST(PiomServer, SourceRemovedInAnEngineOpenedRoundIsSweptAtDepthZero) {
             return true;
           },
       .has_work = [&] { return packet; },
-      .poll_empty =
-          [&] {
-            if (packet) return false;
-            ++polls;
-            return true;
-          },
+      .quiet = [&] { return !packet; },
+      .poll_empty = [&](std::uint64_t n) { polls += static_cast<int>(n); },
   });
   const int coll = m.server.add_source({
       .name = "coll",
@@ -306,11 +302,9 @@ TEST(PiomServer, SourceRemovedInAnEngineOpenedRoundIsSweptAtDepthZero) {
             ++coll_polls;
             return false;
           },
+      .quiet = [] { return true; },
       .poll_empty =
-          [&] {
-            ++coll_polls;
-            return true;
-          },
+          [&](std::uint64_t n) { coll_polls += static_cast<int>(n); },
   });
   std::size_t slots_at_removal = 0;
   std::uint64_t engine_rounds_at_removal = 0;

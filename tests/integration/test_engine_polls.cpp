@@ -5,7 +5,8 @@
 // compute chunks run ahead — then steps through its fiber.  Each PIOMan
 // scenario runs both ways and must reproduce every completion time and
 // every metric, except the counters of the path taken (sim/events/*,
-// spin_granules, engine_polls, compute_chunks, chunks_inlined).
+// spin_granules, engine_polls, compute_chunks, chunks_inlined,
+// chunks_parked).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +34,7 @@ bool path_counter(std::string_view name) {
   return name.starts_with("sim/events/") ||
          name.ends_with("/spin_granules") || name.ends_with("/engine_polls") ||
          name.ends_with("/compute_chunks") ||
-         name.ends_with("/chunks_inlined");
+         name.ends_with("/chunks_inlined") || name.ends_with("/chunks_parked");
 }
 
 std::string path_free_metrics(Cluster& cluster) {

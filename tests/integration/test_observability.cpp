@@ -180,16 +180,33 @@ TEST(Observability, EventGaugesSplitTheSteppedEvents) {
   cluster.flush_observability();
   const MetricsRegistry& m = cluster.metrics();
   const double dispatched = m.value("sim/events/dispatched");
-  const double granules = m.value("sim/events/spin_granules");
+  const double stepped = m.value("sim/events/stepped");
   EXPECT_EQ(dispatched,
             static_cast<double>(cluster.engine().events_processed()));
-  EXPECT_EQ(granules, static_cast<double>(cluster.engine().side_processed()));
+  EXPECT_EQ(stepped, static_cast<double>(cluster.engine().steps()));
+  // Every heap event has one origin.
+  double origins = 0;
+  for (const char* o : {"dispatch", "resume", "switch", "poll", "granule",
+                        "tick", "deadline", "callback"}) {
+    const double n = m.value(std::string("sim/events/origin/") + o);
+    EXPECT_GE(n, 0.0) << o;
+    origins += n;
+  }
+  EXPECT_EQ(origins, dispatched);
+  // The rest of the stepped order ran inline or from the parked list.
+  const auto parked = static_cast<double>(m.sum("node", "/chunks_parked"));
+  EXPECT_GT(parked, 0.0);
+  EXPECT_EQ(stepped,
+            dispatched + static_cast<double>(m.sum("node", "/chunks_inlined")) +
+                parked);
   // Contended engine-lock acquires spin; every granule but the last of a
   // spin is re-armed on its core without a fiber switch.
   ASSERT_GT(m.sum("node", "/locks/engine/contended"), 0u);
   const auto rearmed = static_cast<double>(m.sum("node", "/spin_granules"));
   EXPECT_GT(rearmed, 0.0);
-  EXPECT_LE(rearmed, granules);
+  const double granules_parked = m.value("sim/events/parked/granule");
+  EXPECT_LE(granules_parked, parked);
+  EXPECT_LE(rearmed, m.value("sim/events/origin/granule") + granules_parked);
 }
 
 TEST(Observability, LockProfileDeterministicUnderFuzzSeed) {

@@ -36,7 +36,7 @@ bool path_counter(std::string_view name) {
   return name.starts_with("sim/events/") ||
          name.ends_with("/spin_granules") || name.ends_with("/engine_polls") ||
          name.ends_with("/compute_chunks") ||
-         name.ends_with("/chunks_inlined");
+         name.ends_with("/chunks_inlined") || name.ends_with("/chunks_parked");
 }
 
 std::string path_free_metrics(Cluster& cluster) {

@@ -83,7 +83,7 @@ TEST(Runtime, ZeroWorkMachineDrains) {
 
 TEST(Runtime, DestroyedMidComputeLeavesNothingInTheEngine) {
   // One core mid-compute (its resume and tick timers in the heap), one
-  // spinning on a word that never clears (a granule on the side list):
+  // spinning on a word that never clears (a granule on the parked list):
   // destroying the runtime must leave no key that calls back into it.
   sim::Engine eng;
   Config cfg;
@@ -101,15 +101,13 @@ TEST(Runtime, DestroyedMidComputeLeavesNothingInTheEngine) {
                      Priority::kNormal, "spinner", 1);
     ASSERT_TRUE(eng.run_until(10 * kUs));
     ASSERT_FALSE(eng.empty());
-    ASSERT_GT(eng.side_processed(), 0u);
+    ASSERT_GT(rt.node(0).cpu(1).stats().chunks_parked, 0u);
   }
-  const std::uint64_t events = eng.events_processed();
-  const std::uint64_t side = eng.side_processed();
+  const std::uint64_t steps = eng.steps();
   EXPECT_TRUE(eng.empty());
   eng.run();
   EXPECT_FALSE(finished);
-  EXPECT_EQ(eng.events_processed(), events);
-  EXPECT_EQ(eng.side_processed(), side);
+  EXPECT_EQ(eng.steps(), steps);
   EXPECT_EQ(eng.now(), 10 * kUs);
 }
 

@@ -6,10 +6,10 @@
 // Every scenario has one holder on cpu 0 that takes the lock at t=0 and
 // spinners that start spinning at t=1000 ns, so their granule boundaries
 // fall on 1000 + 50k.  Acquisition times and CPU times are worked out by
-// hand from that grid.  Granule ends run from the engine's side list, not
-// its heap, and compute chunks that run ahead inline take no event, so the
-// stepped loop's event count is events_processed() plus side_processed()
-// plus the chunks inlined.
+// hand from that grid.  Granule ends that find the lock still held run
+// from the engine's parked list, not its heap, and compute chunks that run
+// ahead inline take no event, so the stepped loop's event count is
+// events_processed() plus the chunks parked plus the chunks inlined.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -83,11 +83,14 @@ class Rig {
 
   /// Events the stepped loop would have dispatched.
   [[nodiscard]] std::uint64_t steps() {
-    std::uint64_t inlined = 0;
+    std::uint64_t off_heap = 0;
     for (unsigned i = 0; i < node().cpu_count(); ++i) {
-      inlined += node().cpu(i).stats().chunks_inlined;
+      const marcel::Cpu::Stats& st = node().cpu(i).stats();
+      off_heap += st.chunks_inlined + st.chunks_parked;
     }
-    return eng_.events_processed() + eng_.side_processed() + inlined;
+    const std::uint64_t steps = eng_.events_processed() + off_heap;
+    EXPECT_EQ(steps, eng_.steps());
+    return steps;
   }
 
   [[nodiscard]] lock_profile::SiteSnapshot site() const {

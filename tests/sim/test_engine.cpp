@@ -234,30 +234,48 @@ TEST(Engine, RunUntilSkipsCancelledTopWithoutOverrunning) {
   EXPECT_EQ(eng.now(), 100u);
 }
 
-// A timer that appends its tag to `order` when it runs.
+// Where a Probe's timer waits: in the heap, or on its lane's parked list.
+enum class Queue : std::uint8_t { kHeap, kParked };
+constexpr Queue kQueues[] = {Queue::kHeap, Queue::kParked};
+
+// A timer that appends its tag to `order` when it runs.  A parked Probe
+// stays parked while `keep` holds.
 struct Probe {
-  Probe(std::vector<int>& o, int t, TimerQueue q = TimerQueue::kHeap)
-      : order(o), tag(t), timer(&Probe::run, this, q) {}
+  Probe(std::vector<int>& o, int t, Queue q = Queue::kHeap,
+        Lane lane = kHostLane)
+      : order(o),
+        tag(t),
+        queue(q),
+        timer(&Probe::run, this, lane, &kParking) {}
   static void run(void* p) {
     auto* self = static_cast<Probe*>(p);
     self->order.push_back(self->tag);
+    if (self->clock != nullptr) self->ran_at = self->clock->now();
+  }
+  static bool ask(void* p) { return static_cast<Probe*>(p)->keep; }
+  static constexpr Timer::Parking kParking{&Probe::ask};
+  void arm(Engine& eng, SimTime t) {
+    queue == Queue::kParked ? eng.park(timer, t) : eng.arm(timer, t);
   }
   std::vector<int>& order;
   int tag;
+  Queue queue;
+  bool keep = true;
+  Engine* clock = nullptr;  // when set, `ran_at` records its now()
+  SimTime ran_at = 0;
   Timer timer;
 };
 
-constexpr TimerQueue kQueues[] = {TimerQueue::kHeap, TimerQueue::kSide};
-
 TEST(EngineTimer, ArmedBetweenTwoSchedulesRunsBetweenThem) {
-  for (TimerQueue q : kQueues) {
+  for (Queue q : kQueues) {
     Engine eng;
     std::vector<int> order;
     Probe t(order, 2, q);
     eng.schedule_at(10, [&] { order.push_back(1); });
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     eng.schedule_at(10, [&] { order.push_back(3); });
     EXPECT_TRUE(t.timer.armed());
+    EXPECT_EQ(t.timer.parked(), q == Queue::kParked);
     eng.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_FALSE(t.timer.armed());
@@ -265,28 +283,28 @@ TEST(EngineTimer, ArmedBetweenTwoSchedulesRunsBetweenThem) {
 }
 
 TEST(EngineTimer, RearmRunsAfterEventsScheduledInBetween) {
-  for (TimerQueue q : kQueues) {
+  for (Queue q : kQueues) {
     Engine eng;
     std::vector<int> order;
     Probe t(order, 2, q);
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     eng.schedule_at(10, [&] { order.push_back(1); });
     eng.disarm(t.timer);
     EXPECT_FALSE(t.timer.armed());
     eng.disarm(t.timer);  // no-op
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     eng.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2})) << "stale key must not run";
-    EXPECT_EQ(eng.events_processed() + eng.side_processed(), 2u);
+    EXPECT_EQ(eng.steps(), 2u);
   }
 }
 
-TEST(EngineTimer, SideTimerAndHeapEventTieInSequenceOrder) {
+TEST(EngineTimer, ParkedTimerAndHeapEventTieInSequenceOrder) {
   {
     Engine eng;
     std::vector<int> order;
-    Probe t(order, 1, TimerQueue::kSide);
-    eng.arm(t.timer, 10);
+    Probe t(order, 1, Queue::kParked);
+    t.arm(eng, 10);
     eng.schedule_at(10, [&] { order.push_back(2); });
     eng.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -294,35 +312,35 @@ TEST(EngineTimer, SideTimerAndHeapEventTieInSequenceOrder) {
   {
     Engine eng;
     std::vector<int> order;
-    Probe t(order, 2, TimerQueue::kSide);
+    Probe t(order, 2, Queue::kParked);
     eng.schedule_at(10, [&] { order.push_back(1); });
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     eng.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
   }
 }
 
-TEST(EngineTimer, SideRunsCountApartFromEvents) {
+TEST(EngineTimer, ParkedRunsCountAsStepsNotEvents) {
   Engine eng;
   std::vector<int> order;
-  Probe side(order, 1, TimerQueue::kSide);
+  Probe parked(order, 1, Queue::kParked);
   Probe heap(order, 2);
-  eng.arm(side.timer, 5);
-  eng.arm(heap.timer, 5);
+  parked.arm(eng, 5);
+  heap.arm(eng, 5);
   eng.schedule_at(5, [&] { order.push_back(3); });
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(eng.events_processed(), 2u);
-  EXPECT_EQ(eng.side_processed(), 1u);
+  EXPECT_EQ(eng.steps(), 3u);
 }
 
-TEST(EngineTimer, RunUntilRunsDueSideTimerAndStopsBeforeLater) {
+TEST(EngineTimer, RunUntilRunsDueParkedTimerAndStopsBeforeLater) {
   Engine eng;
   std::vector<int> order;
-  Probe due(order, 1, TimerQueue::kSide);
-  Probe later(order, 2, TimerQueue::kSide);
-  eng.arm(later.timer, 100);
-  eng.arm(due.timer, 10);
+  Probe due(order, 1, Queue::kParked);
+  Probe later(order, 2, Queue::kParked);
+  later.arm(eng, 100);
+  due.arm(eng, 10);
   EXPECT_TRUE(eng.run_until(50));
   EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_EQ(eng.now(), 50u);
@@ -332,18 +350,18 @@ TEST(EngineTimer, RunUntilRunsDueSideTimerAndStopsBeforeLater) {
 }
 
 TEST(EngineTimer, PendingAndEmptyCountArmedTimers) {
-  for (TimerQueue q : kQueues) {
+  for (Queue q : kQueues) {
     Engine eng;
     std::vector<int> order;
     Probe t(order, 1, q);
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     EXPECT_EQ(eng.events_pending(), 1u);
     EXPECT_FALSE(eng.empty());
     eng.schedule_at(20, [] {});
     EXPECT_EQ(eng.events_pending(), 2u);
     eng.disarm(t.timer);
     EXPECT_EQ(eng.events_pending(), 1u);
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     EXPECT_TRUE(eng.run_until(10));
     EXPECT_EQ(eng.events_pending(), 1u);
     eng.run();
@@ -352,12 +370,12 @@ TEST(EngineTimer, PendingAndEmptyCountArmedTimers) {
 }
 
 TEST(EngineTimer, CancelRefusesATimerId) {
-  for (TimerQueue q : kQueues) {
+  for (Queue q : kQueues) {
     Engine eng;
     std::vector<int> order;
     Probe t(order, 1, q);
     eng.schedule_at(10, [] {});  // a live callback slot 0
-    eng.arm(t.timer, 10);
+    t.arm(eng, 10);
     EXPECT_FALSE(eng.cancel(t.timer.id()));
     EXPECT_TRUE(t.timer.armed());
     eng.run();
@@ -382,6 +400,135 @@ TEST(EngineTimer, ReleaseDropsAKeyLeftInTheHeap) {
   EXPECT_EQ(eng.events_processed(), 1u);
 }
 
+TEST(EngineParked, KeyCarriesTheTagArmWouldDraw) {
+  // The same draws on two engines, one arming and one parking the timer.
+  std::vector<EventId> tags;
+  for (Queue q : kQueues) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, 1, q, node_lane(0));
+    eng.schedule_on(node_lane(0), 10, [&] {
+      eng.schedule_at(30, [] {});
+      t.arm(eng, 30);
+      eng.schedule_at(30, [] {});
+      tags.push_back(t.timer.id());
+    });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1}));
+  }
+  ASSERT_EQ(tags.size(), 2u);
+  EXPECT_NE(tags[0], 0u);
+  EXPECT_EQ(tags[0], tags[1]);
+}
+
+TEST(EngineParked, RunsBeforeALaterEventOfItsLaneAtItsOwnTime) {
+  Engine eng;
+  eng.set_lookahead(100);
+  std::vector<int> order;
+  Probe t(order, 1, Queue::kParked, node_lane(0));
+  t.clock = &eng;
+  eng.schedule_on(node_lane(0), 0, [&] { t.arm(eng, 40); });
+  // Lane 1's event at 50 runs first on the host: the parked key of lane
+  // 0 waits for lane 0's next event.
+  eng.schedule_on(node_lane(1), 50, [&] {
+    EXPECT_TRUE(order.empty());
+    order.push_back(2);
+  });
+  eng.schedule_on(node_lane(0), 60, [&] { order.push_back(3); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+  EXPECT_EQ(t.ran_at, 40u);
+}
+
+TEST(EngineParked, RunsBeforeARunAheadPastIt) {
+  Engine eng;
+  eng.set_lookahead(100);
+  std::vector<int> order;
+  Probe early(order, 1, Queue::kParked, node_lane(0));
+  Probe late(order, 2, Queue::kParked, node_lane(0));
+  eng.schedule_on(node_lane(0), 0, [&] {
+    early.arm(eng, 30);
+    late.arm(eng, 80);
+    ASSERT_TRUE(eng.run_ahead(50));
+    EXPECT_EQ(order, (std::vector<int>{1})) << "the key at 30 runs first";
+    EXPECT_EQ(eng.now(), 50u);
+    EXPECT_TRUE(late.timer.parked());
+    order.push_back(3);
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(EngineParked, RunAheadRunsOnlyKeysBeforeTheSteppedEvent) {
+  // A key parked at 0 for 50 was drawn before the key the stepped chunk
+  // end at 50 would draw at 10, so it runs inside run_ahead(50); one
+  // drawn at 10 after that point runs after it.
+  Engine eng;
+  eng.set_lookahead(100);
+  std::vector<int> order;
+  Probe before(order, 1, Queue::kParked, node_lane(0));
+  Probe after(order, 2, Queue::kParked, node_lane(0));
+  eng.schedule_on(node_lane(0), 0, [&] { before.arm(eng, 50); });
+  eng.schedule_on(node_lane(0), 10, [&] {
+    ASSERT_TRUE(eng.run_ahead(50));
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    after.arm(eng, 50);  // drawn at 50: after everything drawn earlier
+    order.push_back(3);
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(EngineParked, UnparkKeepsTheOrderAgainstSameInstantDraws) {
+  for (const bool parked_first : {true, false}) {
+    Engine eng;
+    std::vector<int> order;
+    Probe t(order, parked_first ? 1 : 2, Queue::kParked);
+    if (parked_first) t.arm(eng, 10);
+    eng.schedule_at(10, [&] { order.push_back(parked_first ? 2 : 1); });
+    if (!parked_first) t.arm(eng, 10);
+    const EventId tag = t.timer.id();
+    eng.unpark(t.timer);
+    EXPECT_FALSE(t.timer.parked());
+    EXPECT_EQ(t.timer.id(), tag) << "unpark keeps the drawn key";
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(eng.events_processed(), 2u) << "the key ran from the heap";
+  }
+}
+
+TEST(EngineParked, KeepFalseAfterALaneEventMovesTheKeyIntoTheHeap) {
+  Engine eng;
+  std::vector<int> order;
+  Probe t(order, 2, Queue::kParked, node_lane(0));
+  eng.schedule_on(node_lane(0), 0, [&] { t.arm(eng, 20); });
+  eng.schedule_on(node_lane(0), 10, [&] {
+    t.keep = false;
+    order.push_back(1);
+  });
+  eng.schedule_on(node_lane(0), 25, [&] { order.push_back(3); });
+  t.clock = &eng;
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(t.ran_at, 20u);
+  EXPECT_EQ(eng.events_processed(), 4u) << "the key ran from the heap";
+  EXPECT_EQ(eng.steps(), 4u);
+}
+
+TEST(EngineParked, DrainedHeapWithAParkedKeyIsNotEmpty) {
+  Engine eng;
+  std::vector<int> order;
+  Probe t(order, 1, Queue::kParked, node_lane(0));
+  eng.schedule_on(node_lane(0), 0, [&] { t.arm(eng, 20); });
+  ASSERT_TRUE(eng.run_one());
+  EXPECT_FALSE(eng.empty());
+  EXPECT_EQ(eng.events_pending(), 1u);
+  EXPECT_TRUE(eng.run_one()) << "the parked key is the next step";
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_TRUE(eng.empty());
+  EXPECT_FALSE(eng.run_one());
+}
+
 TEST(EngineTimerDeathTest, ArmingAnArmedTimerAborts) {
   Engine eng;
   std::vector<int> order;
@@ -391,11 +538,11 @@ TEST(EngineTimerDeathTest, ArmingAnArmedTimerAborts) {
 }
 
 TEST(EngineTimerDeathTest, ArmingIntoThePastAborts) {
-  for (TimerQueue q : kQueues) {
+  for (Queue q : kQueues) {
     Engine eng;
     std::vector<int> order;
     Probe t(order, 1, q);
-    eng.schedule_at(100, [&] { EXPECT_DEATH(eng.arm(t.timer, 50), "past"); });
+    eng.schedule_at(100, [&] { EXPECT_DEATH(t.arm(eng, 50), "past"); });
     eng.run();
   }
 }
@@ -489,7 +636,7 @@ TEST(Engine, MatchesReferenceModel) {
 // Timers of both queues mixed with callbacks, against the same model: a
 // timer's arm draws its key exactly where schedule_at() would.
 TEST(EngineTimer, MatchesReferenceModel) {
-  constexpr int kTimers = 8;  // even: heap, odd: side list
+  constexpr int kTimers = 8;  // even: heap, odd: parked
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     std::mt19937 rng(seed);
     Engine eng;
@@ -502,12 +649,12 @@ TEST(EngineTimer, MatchesReferenceModel) {
     std::vector<std::unique_ptr<Probe>> timers;
     for (int i = 0; i < kTimers; ++i) {
       timers.push_back(std::make_unique<Probe>(
-          ran, -1 - i, i % 2 == 0 ? TimerQueue::kHeap : TimerQueue::kSide));
+          ran, -1 - i, i % 2 == 0 ? Queue::kHeap : Queue::kParked));
     }
     auto arm = [&](int i, SimTime at) {
       timer_key[static_cast<std::size_t>(i)] = {at, seq++, -1 - i};
       model.insert(timer_key[static_cast<std::size_t>(i)]);
-      eng.arm(timers[static_cast<std::size_t>(i)]->timer, at);
+      timers[static_cast<std::size_t>(i)]->arm(eng, at);
     };
     for (int op = 0; op < 3000; ++op) {
       const unsigned r = rng() % 10;

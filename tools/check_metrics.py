@@ -19,7 +19,8 @@ band advanced in lockstep on every node.  With --expect-locks,
 additionally asserts that the lock profiler and core-state timeline are
 present and consistent: every node carries engine-lock acq/contended
 counters with wait/hold histograms whose totals match, and every core's
-five time-in-state counters sum exactly to the simulated time; and that
+five time-in-state counters sum exactly to the simulated time, and some
+poll-chunk or granule end ran from the engine's parked list; and that
 every PIOMan node reports its progress sources
 (nodeN/piom/source/<name>/{polls,hits}, hits <= polls) and per-core
 nodeN/cpuC/engine_polls, whose sum is at most the summed
@@ -33,10 +34,12 @@ the host thread's fiber-stack gauges (sim/fiber_stacks/mapped and
 pooled) are non-negative integers with pooled <= mapped, and once more
 than 1000 handlers were spawned fewer stacks are mapped than were
 spawned (the stack count is bounded by live fibers, not by requests);
-the engine's event gauges (sim/events/dispatched and spin_granules) are
-non-negative integers, and the per-CPU nodeN/cpuC/spin_granules counters
-(granules re-armed without a fiber switch) sum to at most the granules
-the engine ran from its side list.
+the engine's event gauges (sim/events/dispatched and stepped) are
+non-negative integers with stepped == dispatched + the per-CPU
+chunks_inlined + chunks_parked, and the per-CPU nodeN/cpuC/spin_granules
+counters (granules re-armed without a fiber switch) sum to at most the
+granule ends the engine ran from its heap (sim/events/origin/granule)
+or parked list (sim/events/parked/granule).
 With --expect-rma, additionally asserts the one-sided conservation laws
 (src/nmad/rma): per node the eager/rendezvous split accounts for every
 put issued, every opened epoch closed, no wire op was dropped as
@@ -320,6 +323,11 @@ def check_locks(path: str, doc: dict) -> None:
     if total_engine > total_rounds:
         fail(f"{path}: {total_engine} rounds opened in engine context > "
              f"{total_rounds} poll rounds")
+    parked = sum(v for name, v in counters.items()
+                 if name.startswith("node") and name.endswith("/chunks_parked"))
+    if parked <= 0:
+        fail(f"{path}: no poll-chunk or granule end ran from the engine's "
+             f"parked list (Σ chunks_parked == 0)")
     print(f"check_metrics: {path}: locks ok ({total_acq} engine-lock acq, "
           f"{total_contended} contended on {len(nodes)} nodes; "
           f"{len(cores)} cores' state buckets sum to {sim_ns} ns; "
@@ -390,24 +398,36 @@ def check_rpc(path: str, doc: dict) -> None:
         fail(f"{path}: {stacks['mapped']} fiber stacks mapped for {spawns} "
              f"handler spawns (stack count grows with requests)")
     events = {}
-    for kind in ("dispatched", "spin_granules"):
+    for kind in ("dispatched", "stepped"):
         v = gauges.get(f"sim/events/{kind}")
         if not isinstance(v, (int, float)) or v < 0 or v != int(v):
             fail(f"{path}: gauge sim/events/{kind} absent or not a "
                  f"non-negative integer ({v!r})")
         events[kind] = int(v)
-    rearmed = sum(v for name, v in counters.items()
-                  if name.startswith("node") and "/cpu" in name
-                  and name.endswith("/spin_granules"))
-    if rearmed > events["spin_granules"]:
+
+    def cpu_sum(suffix):
+        return sum(v for name, v in counters.items()
+                   if name.startswith("node") and "/cpu" in name
+                   and name.endswith(suffix))
+    inlined = cpu_sum("/chunks_inlined")
+    parked = cpu_sum("/chunks_parked")
+    if events["stepped"] != events["dispatched"] + inlined + parked:
+        fail(f"{path}: {events['stepped']} stepped events != "
+             f"{events['dispatched']} dispatched + {inlined} inlined + "
+             f"{parked} parked")
+    rearmed = cpu_sum("/spin_granules")
+    granules = gauges.get("sim/events/origin/granule", 0)
+    granules_parked = gauges.get("sim/events/parked/granule", 0)
+    if rearmed > granules + granules_parked:
         fail(f"{path}: cores re-armed {rearmed} spin granules but the "
-             f"engine ran only {events['spin_granules']}")
+             f"engine ran only {granules} granule ends from its heap and "
+             f"{granules_parked} parked")
     print(f"check_metrics: {path}: rpc ok ({issued} calls dispatched, "
           f"{sig_sent} signals delivered on {len(nodes)} nodes; "
           f"{stacks['mapped']} fiber stacks mapped, {stacks['pooled']} "
           f"pooled, for {spawns} handler spawns; {events['dispatched']} "
-          f"events + {events['spin_granules']} spin granules, "
-          f"{rearmed} re-armed)")
+          f"events + {inlined} inlined + {parked} parked = "
+          f"{events['stepped']} stepped, {rearmed} granules re-armed)")
 
 
 def check_rma(path: str, doc: dict) -> None:
